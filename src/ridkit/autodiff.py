@@ -8,13 +8,15 @@ concurrently: all per-call state is local.
 
 Primitive ops: matmul, add, badd (broadcast row add), mul, bmul (broadcast
 row mul), smul (scalar mul), tanh, relu, exp, log, atan, row_sum, concat
-(columns), cols (column gather). Everything else is composed from these.
+(columns), cols (column gather), and dense (one fused act(x @ w + b) layer,
+bitwise equal to its matmul/badd/activation composite). Everything else is
+composed from these.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +49,7 @@ class UnboundLeaf(GraphError):
 _LEAF_OPS = frozenset({"input", "param", "const"})
 _UNARY = frozenset({"tanh", "relu", "exp", "log", "atan", "row_sum", "smul", "cols"})
 _BINARY = frozenset({"matmul", "add", "badd", "mul", "bmul"})
+_DENSE_ACTS = ("identity", "tanh", "relu")
 
 
 @dataclass(frozen=True)
@@ -57,16 +60,22 @@ class Node:
     scalar: float = 0.0
     idx: tuple[int, ...] | None = None
     value: np.ndarray | None = None
+    act: str = "identity"
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Topologically ordered op nodes plus the leaf name sets."""
+    """Topologically ordered op nodes plus the leaf name sets.
+
+    `_plans` caches the evaluation order for each requested output set;
+    plans are immutable, so concurrent callers may share them.
+    """
 
     nodes: tuple[Node, ...]
     pos: Mapping[str, int]
     inputs: frozenset[str]
     params: frozenset[str]
+    _plans: dict = field(default_factory=dict, compare=False, repr=False)
 
     def node(self, name: str) -> Node:
         return self.nodes[self.pos[name]]
@@ -167,6 +176,13 @@ class GraphBuilder:
             Node(self._name("cols", name), "cols", (a,), idx=tuple(int(i) for i in idx))
         )
 
+    def dense(self, x: str, w: str, b: str, act: str = "identity",
+              name: str | None = None) -> str:
+        """act(x @ w + b) for a row of biases b and act in identity/tanh/relu."""
+        if act not in _DENSE_ACTS:
+            raise GraphError(f"dense: activation must be one of {_DENSE_ACTS}, got '{act}'")
+        return self._register(Node(self._name("dense", name), "dense", (x, w, b), act=act))
+
     # composites -------------------------------------------------------------
 
     def sub(self, a: str, b: str) -> str:
@@ -197,14 +213,29 @@ def _leaf_value(node: Node, bindings: Mapping[str, np.ndarray]) -> np.ndarray:
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatch(f"leaf '{node.name}': expected 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise GraphError(f"leaf '{node.name}': non-finite entries in binding")
     return arr
+
+
+def _dense(node: Node, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeMismatch(f"node '{node.name}': dense {x.shape} x {w.shape} + {b.shape}")
+    h = x @ w
+    h += b
+    if node.act == "tanh":
+        np.tanh(h, out=h)
+    elif node.act == "relu":
+        np.maximum(h, 0.0, out=h)
+    return h
 
 
 def _apply(node: Node, vals: Mapping[str, np.ndarray]) -> np.ndarray:
     op = node.op
     nm = node.name
+    if op == "dense":
+        x, w, b = node.args
+        return _dense(node, vals[x], vals[w], vals[b])
     if op in _BINARY:
         a, b = vals[node.args[0]], vals[node.args[1]]
         if op == "matmul":
@@ -262,6 +293,31 @@ def _needed(graph: Graph, outputs: Iterable[str]) -> set[str]:
     return seen
 
 
+class _Plan(NamedTuple):
+    forward: tuple[Node, ...]  # needed nodes in topological order
+    frees: tuple[tuple[str, ...], ...]  # per forward step: values no later step reads
+    backward: tuple[Node, ...]  # needed op nodes in reverse order
+
+
+def _plan(graph: Graph, outputs: tuple[str, ...]) -> _Plan:
+    plan = graph._plans.get(outputs)
+    if plan is None:
+        needed = _needed(graph, outputs)
+        forward = tuple(n for n in graph.nodes if n.name in needed)
+        last_use: dict[str, int] = {}
+        for i, node in enumerate(forward):
+            for a in node.args:
+                last_use[a] = i
+        keep = set(outputs)
+        frees = tuple(
+            tuple(a for a in dict.fromkeys(node.args) if last_use[a] == i and a not in keep)
+            for i, node in enumerate(forward)
+        )
+        backward = tuple(n for n in reversed(forward) if n.op not in _LEAF_OPS)
+        plan = graph._plans[outputs] = _Plan(forward, frees, backward)
+    return plan
+
+
 def evaluate(
     graph: Graph,
     bindings: Mapping[str, np.ndarray],
@@ -276,25 +332,15 @@ def evaluate(
     """
     if outputs is None:
         outputs = [n.name for n in graph.nodes]
-    needed = _needed(graph, outputs)
-    keep = set(outputs)
-    last_use: dict[str, int] = {}
-    for i, node in enumerate(graph.nodes):
-        if node.name not in needed:
-            continue
-        for a in node.args:
-            last_use[a] = i
+    plan = _plan(graph, tuple(outputs))
     vals: dict[str, np.ndarray] = {}
-    for i, node in enumerate(graph.nodes):
-        if node.name not in needed:
-            continue
+    for node, frees in zip(plan.forward, plan.frees):
         if node.op in _LEAF_OPS:
             vals[node.name] = _leaf_value(node, bindings)
         else:
             vals[node.name] = _apply(node, vals)
-        for a in set(node.args):
-            if last_use.get(a) == i and a not in keep:
-                del vals[a]
+        for a in frees:
+            del vals[a]
     return {name: vals[name] for name in outputs}
 
 
@@ -309,7 +355,21 @@ def _acc(adj: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
 def _backward(node: Node, g: np.ndarray, vals: Mapping[str, np.ndarray],
               adj: dict[str, np.ndarray]) -> None:
     op = node.op
-    if op == "matmul":
+    if op == "dense":
+        x, w, b = node.args
+        y = vals[node.name]
+        if node.act == "tanh":
+            d = y * y
+            np.subtract(1.0, d, out=d)
+            d *= g
+        elif node.act == "relu":
+            d = g * (y > 0.0)
+        else:
+            d = g
+        _acc(adj, b, d.sum(axis=0, keepdims=True))
+        _acc(adj, x, d @ vals[w].T)
+        _acc(adj, w, vals[x].T @ d)
+    elif op == "matmul":
         a, b = node.args
         _acc(adj, a, g @ vals[b].T)
         _acc(adj, b, vals[a].T @ g)
@@ -372,11 +432,9 @@ def value_and_gradients(
             raise GraphError(f"unknown leaf '{name}'")
         if graph.node(name).op not in ("input", "param"):
             raise GraphError(f"'{name}' is not a differentiable leaf")
-    needed = _needed(graph, [output])
+    plan = _plan(graph, (output,))
     vals: dict[str, np.ndarray] = {}
-    for node in graph.nodes:
-        if node.name not in needed:
-            continue
+    for node in plan.forward:
         if node.op in _LEAF_OPS:
             vals[node.name] = _leaf_value(node, bindings)
         else:
@@ -385,9 +443,7 @@ def value_and_gradients(
     if out.shape != (1, 1):
         raise GraphError(f"gradients: output '{output}' has shape {out.shape}, expected (1, 1)")
     adj: dict[str, np.ndarray] = {output: np.ones((1, 1))}
-    for node in reversed(graph.nodes):
-        if node.name not in needed or node.op in _LEAF_OPS:
-            continue
+    for node in plan.backward:
         g = adj.pop(node.name, None)
         if g is None:
             continue

@@ -1,52 +1,40 @@
-"""Selects the kernel implementation at import time.
+"""Numpy implementations of the hot elementwise kernels.
 
-Prefers the compiled ridkit._ckernels extension and falls back to the numpy
-twins in ridkit._pykernels when the extension is unavailable. Set
-RIDKIT_BACKEND=python to force the fallback (useful for benchmarking and
-for debugging suspected kernel issues).
+All arguments are 2-D float64 arrays, all results are freshly allocated.
+Callers look the kernels up as `backend.X` at call time, so a profiler can
+wrap them in place.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
-from . import _pykernels
+import numpy as np
 
-try:
-    from . import _ckernels
-except ImportError:
-    _ckernels = None
-
-if os.environ.get("RIDKIT_BACKEND", "").lower() in ("python", "py", "numpy"):
-    _impl = _pykernels
-else:
-    _impl = _ckernels if _ckernels is not None else _pykernels
-
-_KERNELS = ("adam_update", "softclamp", "coupling_fwd", "coupling_inv", "row_sumsq_diff")
+BACKEND_NAME = "numpy"
 
 
-def _bind(impl) -> None:
-    global adam_update, softclamp, coupling_fwd, coupling_inv, row_sumsq_diff
-    global BACKEND_NAME
-    for k in _KERNELS:
-        globals()[k] = getattr(impl, k)
-    BACKEND_NAME = impl.BACKEND_NAME
+def softclamp(raw, clamp):
+    """Saturating log-scale: clamp * (2/pi) * atan(raw), always in (-clamp, clamp)."""
+    return np.arctan(raw) * (clamp * (2.0 / math.pi))
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("python",) if _ckernels is None else ("compiled", "python")
+def coupling_fwd(active, s_raw, t, clamp):
+    """Affine coupling forward on the active half: out = active*exp(s)+t.
+
+    Returns (out, s_eff) where s_eff is the clamped log-scale.
+    """
+    s_eff = softclamp(s_raw, clamp)
+    return active * np.exp(s_eff) + t, s_eff
 
 
-def use(name: str) -> None:
-    """Re-points the kernel functions; intended for tests and benchmarks."""
-    if name == "python":
-        _bind(_pykernels)
-    elif name == "compiled":
-        if _ckernels is None:
-            raise RuntimeError("compiled kernels are not built in this environment")
-        _bind(_ckernels)
-    else:
-        raise ValueError(f"unknown backend '{name}'")
+def coupling_inv(v_active, s_raw, t, clamp):
+    """Exact inverse of coupling_fwd: u = (v - t) * exp(-s). Returns (u, s_eff)."""
+    s_eff = softclamp(s_raw, clamp)
+    return (v_active - t) * np.exp(-s_eff), s_eff
 
 
-_bind(_impl)
+def row_sumsq_diff(a, b):
+    """Per-row sum of squared differences, shape (n, 1)."""
+    d = a - b
+    return (d * d).sum(axis=1, keepdims=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import backend
+from .autodiff import GraphError
 from .evaluation import EvalConfig, resimulation_error, welch_t_test
 from .fileio import (
     DATASET_FILE,
@@ -282,8 +282,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ridkit",
-        description="Robust inverse design: weighted-likelihood conditional flows "
-        f"(kernel backend: {backend.BACKEND_NAME})",
+        description="Robust inverse design: weighted-likelihood conditional flows",
     )
     parser.add_argument("--config", type=Path, default=None,
                         help="RunConfig JSON whose fields override matching flags")
@@ -353,8 +352,9 @@ def _apply_config_overrides(args: argparse.Namespace) -> None:
         return
     cfg = read_json(args.config)
     for key, value in cfg.items():
-        if hasattr(args, key) and key not in ("command", "func", "config"):
-            setattr(args, key, value)
+        if not hasattr(args, key) or key in ("command", "func", "config"):
+            raise UsageError(f"unknown {args.command} config field '{key}'")
+        setattr(args, key, value)
 
 
 def main(argv=None) -> int:
@@ -366,7 +366,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValueError) as exc:
+    except (DataError, GraphError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingError as exc:

@@ -188,6 +188,10 @@ def read_weights(path: Path) -> tuple[np.ndarray, WeightConfig]:
     if doc.get("format_version") != WEIGHTS_FORMAT_VERSION:
         raise DataError(f"unsupported weights format_version {doc.get('format_version')}")
     try:
-        return np.asarray(doc["weights"], dtype=np.float64), WeightConfig.from_jsonable(doc["config"])
+        w = np.asarray(doc["weights"], dtype=np.float64)
+        cfg = WeightConfig.from_jsonable(doc["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed weights file {path}: {exc}") from exc
+    if not np.isfinite(w).all():
+        raise DataError(f"weights file {path} has non-finite weights")
+    return w, cfg

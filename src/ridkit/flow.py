@@ -19,13 +19,11 @@ import numpy as np
 from . import backend
 from .autodiff import Graph, GraphBuilder, evaluate, value_and_gradients
 from .neural import (
-    AdamState,
+    FlatAdam,
     MlpParams,
     MlpSpec,
     TrainingError,
-    adam_step,
     append_mlp_graph,
-    init_adam,
     init_mlp,
     mlp_forward,
     mlp_from_jsonable,
@@ -341,8 +339,8 @@ def train_flow_wnll(
         w = np.asarray(weights, dtype=np.float64).reshape(-1)
         if w.shape[0] != n:
             raise ValueError(f"{w.shape[0]} weights for {n} samples")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
+        if not np.isfinite(w).all() or np.any(w <= 0):
+            raise ValueError("weights must be finite and positive")
     if cfg.relabel:
         if relabel_params is None:
             raise ValueError("relabel=True needs a trained surrogate (relabel_params)")
@@ -359,12 +357,14 @@ def train_flow_wnll(
         _cache={},
     )
     graph, names = work.nll_graph()
-    bindings_params = work.param_bindings()
-    param_names = list(bindings_params.keys())
-    arrays = [bindings_params[nm] for nm in param_names]
-    state = init_adam(
-        arrays, learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay
+    bindings = work.param_bindings()
+    param_names = list(bindings.keys())
+    opt = FlatAdam(
+        [bindings[nm] for nm in param_names],
+        learning_rate=cfg.learning_rate,
+        weight_decay=cfg.weight_decay,
     )
+    bindings.update(zip(param_names, opt.views(opt.params)))
 
     rng = np.random.default_rng(cfg.seed)
     trace: list[float] = []
@@ -377,7 +377,6 @@ def train_flow_wnll(
             xb = x[idx]
             if cfg.sigma_aug > 0:
                 xb = xb + cfg.sigma_aug * rng.standard_normal(xb.shape)
-            bindings = dict(zip(param_names, arrays))
             bindings["x"] = xb
             bindings["y"] = y[idx]
             bindings["w_row"] = (w[idx] / nb).reshape(1, nb)
@@ -385,10 +384,10 @@ def train_flow_wnll(
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite flow loss at epoch {epoch}")
             epoch_loss += loss * nb
-            arrays, state = adam_step(arrays, [grads[nm] for nm in param_names], state)
+            opt.step([grads[nm] for nm in param_names])
         trace.append(epoch_loss / n)
 
-    trained = dict(zip(param_names, arrays))
+    trained = dict(zip(param_names, opt.views(opt.params)))
     new_blocks = []
     for li, blk in enumerate(work.blocks):
         new_blocks.append(

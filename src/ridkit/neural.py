@@ -7,6 +7,7 @@ robustness signal), and the scale/shift subnets inside coupling blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -25,6 +26,7 @@ __all__ = [
     "mse_loss",
     "init_adam",
     "adam_step",
+    "FlatAdam",
     "train_regressor",
     "mlp_to_jsonable",
     "mlp_from_jsonable",
@@ -102,13 +104,19 @@ def mlp_forward(params: MlpParams, x_batch: np.ndarray) -> np.ndarray:
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
         raise ValueError(f"x_batch shape {x.shape} does not match input_dim {params.spec.input_dim}")
-    act = np.tanh if params.spec.activation == "tanh" else lambda v: np.maximum(v, 0.0)
+    relu = params.spec.activation == "relu"
     h = x
     last = len(params.weights) - 1
+    # one fresh array per layer, updated in place: large batches then reuse
+    # the allocator's blocks instead of faulting in new pages per temporary
     for li, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if li != last:
-            h = act(h)
+            if relu:
+                np.maximum(h, 0.0, out=h)
+            else:
+                np.tanh(h, out=h)
     return h
 
 
@@ -148,6 +156,32 @@ def init_adam(params: Sequence[np.ndarray], **kwargs) -> AdamState:
     return AdamState(m=zeros, v=tuple(np.zeros_like(p) for p in params), **kwargs)
 
 
+def _adam_update(p, g, m, v, t, cfg: AdamState, tmp, tmp2) -> None:
+    """One Adam step with bias correction and decoupled weight decay, in place.
+
+    Rewrites p, m and v; tmp and tmp2 are scratch arrays shaped like p.
+    Computes m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
+    p = p*(1 - lr*wd) - lr*((m*c1) / (sqrt(v*c2) + eps)) with exactly these
+    roundings, so any split of the parameters into arrays gives the same bits.
+    """
+    b1, b2, lr = cfg.beta1, cfg.beta2, cfg.learning_rate
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=tmp)
+    m += tmp
+    v *= b2
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - b2
+    v += tmp
+    np.multiply(v, 1.0 / (1.0 - b2 ** t), out=tmp2)
+    np.sqrt(tmp2, out=tmp2)
+    tmp2 += cfg.epsilon
+    np.multiply(m, 1.0 / (1.0 - b1 ** t), out=tmp)
+    tmp /= tmp2
+    tmp *= lr
+    p *= 1.0 - lr * cfg.weight_decay
+    p -= tmp
+
+
 def adam_step(
     params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: AdamState
 ) -> tuple[list[np.ndarray], AdamState]:
@@ -159,15 +193,52 @@ def adam_step(
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ValueError(f"grad shape {g.shape} does not match param {p.shape}")
-        p2, m2, v2 = backend.adam_update(
-            p, g, m, v, t,
-            state.learning_rate, state.beta1, state.beta2,
-            state.epsilon, state.weight_decay,
-        )
+        p2, m2, v2 = (np.array(a, dtype=np.float64) for a in (p, m, v))
+        _adam_update(p2, g, m2, v2, t, state, np.empty_like(p2), np.empty_like(p2))
         new_p.append(p2)
         new_m.append(m2)
         new_v.append(v2)
     return new_p, replace(state, step_count=t, m=tuple(new_m), v=tuple(new_v))
+
+
+class FlatAdam:
+    """Adam over parameters held in one flat buffer and updated in place.
+
+    Parameters, gradients and both moments each live in a single float64
+    buffer; `views` cuts a buffer into arrays shaped like the ones given at
+    construction, so callers bind per-layer views and read every update
+    without copies. Bitwise equal to adam_step on the same arrays.
+    """
+
+    def __init__(self, arrays: Sequence[np.ndarray], learning_rate: float = 1e-3,
+                 weight_decay: float = 1e-5):
+        self.config = AdamState(learning_rate=learning_rate, weight_decay=weight_decay)
+        self._shapes = [np.shape(a) for a in arrays]
+        self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        self._grads, self._m, self._v, self._tmp, self._tmp2 = (
+            np.zeros_like(self.params) for _ in range(5)
+        )
+        self.step_count = 0
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        out, off = [], 0
+        for shape in self._shapes:
+            size = math.prod(shape)
+            out.append(flat[off:off + size].reshape(shape))
+            off += size
+        return out
+
+    def step(self, grads: Sequence[np.ndarray]) -> None:
+        """Applies one update from per-array gradients in construction order.
+
+        Raises TrainingError when the update leaves a non-finite parameter.
+        """
+        np.concatenate([np.ravel(g) for g in grads], out=self._grads)
+        self.step_count += 1
+        _adam_update(self.params, self._grads, self._m, self._v, self.step_count,
+                     self.config, self._tmp, self._tmp2)
+        if not np.isfinite(self.params).all():
+            raise TrainingError(f"non-finite parameters after Adam step {self.step_count}")
 
 
 # graph construction -------------------------------------------------------------
@@ -183,9 +254,7 @@ def append_mlp_graph(b: GraphBuilder, spec: MlpSpec, x: str, prefix: str) -> str
     for li in range(len(spec.layer_dims)):
         w = b.param(f"{prefix}.w{li}")
         bias = b.param(f"{prefix}.b{li}")
-        h = b.badd(b.matmul(h, w), bias)
-        if li != last:
-            h = b.tanh(h) if spec.activation == "tanh" else b.relu(h)
+        h = b.dense(h, w, bias, spec.activation if li != last else "identity")
     return h
 
 
@@ -236,12 +305,13 @@ def train_regressor(
         raise ValueError("training data does not match spec dims")
     rng = np.random.default_rng(seed)
     params = init_mlp(spec, rng)
-    arrays = params.arrays()
+    opt = FlatAdam(params.arrays(), learning_rate=learning_rate, weight_decay=weight_decay)
+    arrays = opt.views(opt.params)
     names = list(mlp_param_bindings("mlp", params).keys())
-    state = init_adam(arrays, learning_rate=learning_rate, weight_decay=weight_decay)
+    bindings = dict(zip(names, arrays))
     graph, loss_node = _regression_loss_graph(spec)
 
-    best_arrays = [a.copy() for a in arrays]
+    best = opt.params.copy()
     best_valid = np.inf
     trace: list[dict] = []
     for epoch in range(epochs):
@@ -250,7 +320,6 @@ def train_regressor(
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             nb = idx.size
-            bindings = dict(zip(names, arrays))
             bindings["x"] = x_train[idx]
             bindings["y"] = y_train[idx]
             bindings["mean_row"] = np.full((1, nb), 1.0 / nb)
@@ -258,7 +327,7 @@ def train_regressor(
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * nb
-            arrays, state = adam_step(arrays, [grads[nm] for nm in names], state)
+            opt.step([grads[nm] for nm in names])
         record = {"epoch": epoch, "train_mse": epoch_loss / n}
         if valid is not None and len(valid[0]) > 0:
             params_now = _params_from_arrays(spec, arrays)
@@ -266,11 +335,11 @@ def train_regressor(
             record["valid_mse"] = vmse
             if vmse < best_valid:
                 best_valid = vmse
-                best_arrays = [a.copy() for a in arrays]
+                np.copyto(best, opt.params)
         trace.append(record)
     if valid is None or len(valid[0]) == 0:
-        best_arrays = arrays
-    return _params_from_arrays(spec, best_arrays), trace
+        best = opt.params
+    return _params_from_arrays(spec, opt.views(best)), trace
 
 
 def _params_from_arrays(spec: MlpSpec, arrays: Sequence[np.ndarray]) -> MlpParams:

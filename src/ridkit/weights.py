@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-class FoldTrainingError(Exception):
+class FoldTrainingError(TrainingError):
     """Surrogate training diverged; carries the offending fold id."""
 
     def __init__(self, fold: int, message: str):
@@ -108,8 +108,8 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
-        if self.w.ndim != 1 or np.any(self.w <= 0):
-            raise ValueError("weights must be a 1-D positive vector")
+        if self.w.ndim != 1 or not np.isfinite(self.w).all() or np.any(self.w <= 0):
+            raise ValueError("weights must be a 1-D finite positive vector")
 
 
 def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from ridkit.autodiff import (
     evaluate,
     finite_diff_check,
     gradients,
+    value_and_gradients,
 )
 
 
@@ -249,3 +253,115 @@ def test_non_finite_binding_rejected():
     g = b.build()
     with pytest.raises(GraphError, match="non-finite"):
         evaluate(g, {"x": [[np.nan]]}, [out])
+
+
+def _two_layer(dense: bool, act: str):
+    """x -> act(x @ w0 + b0) -> (. @ w1 + b1) -> scalar, either as fused
+    dense nodes or as the matmul/badd/activation composite."""
+    b = GraphBuilder()
+    h = b.input("x")
+    for li, a in enumerate((act, "identity")):
+        w, bias = b.param(f"w{li}"), b.param(f"b{li}")
+        if dense:
+            h = b.dense(h, w, bias, a)
+        else:
+            h = b.badd(b.matmul(h, w), bias)
+            if a != "identity":
+                h = getattr(b, a)(h)
+    loss = b.matmul(b.input("mean_row"), b.row_sum(b.mul(h, h)))
+    return b.build(), loss
+
+
+def _two_layer_bindings(rng, rows=7):
+    return {
+        "x": rng.standard_normal((rows, 3)),
+        "w0": rng.standard_normal((3, 5)),
+        "b0": rng.standard_normal((1, 5)),
+        "w1": rng.standard_normal((5, 2)),
+        "b1": rng.standard_normal((1, 2)),
+        "mean_row": np.full((1, rows), 1.0 / rows),
+    }
+
+
+_WRT = ["x", "w0", "b0", "w1", "b1"]
+
+
+@pytest.mark.parametrize("act", ["identity", "tanh", "relu"])
+def test_dense_finite_diff(act):
+    rng = np.random.default_rng(11)
+    b = GraphBuilder()
+    x, w, bias = b.input("x"), b.param("w"), b.param("b")
+    h = b.dense(x, w, bias, act)
+    out = b.row_sum(b.mul(h, h))
+    g = b.build()
+    bindings = {"x": rng.standard_normal((1, 3)), "w": rng.standard_normal((3, 4)),
+                "b": rng.standard_normal((1, 4))}
+    if act == "relu":  # keep every pre-activation off the kink
+        pre = bindings["x"] @ bindings["w"] + bindings["b"]
+        bindings["b"] = bindings["b"] + np.where(np.abs(pre) < 1e-2, 0.5, 0.0)
+    err = finite_diff_check(g, bindings, out, ["x", "w", "b"], h=1e-6)
+    assert err < 1e-5
+
+
+@pytest.mark.parametrize("act", ["identity", "tanh", "relu"])
+def test_dense_bitwise_equals_composite(act):
+    rng = np.random.default_rng(12)
+    bindings = _two_layer_bindings(rng)
+    (g_dense, out_d), (g_comp, out_c) = _two_layer(True, act), _two_layer(False, act)
+    val_d, grads_d = value_and_gradients(g_dense, bindings, out_d, _WRT)
+    val_c, grads_c = value_and_gradients(g_comp, bindings, out_c, _WRT)
+    assert val_d == val_c
+    for name in _WRT:
+        np.testing.assert_array_equal(grads_d[name], grads_c[name])
+
+
+def test_dense_rejects_unknown_activation_and_bad_shapes():
+    b = GraphBuilder()
+    x, w, bias = b.input("x"), b.param("w"), b.param("b")
+    with pytest.raises(GraphError, match="activation"):
+        b.dense(x, w, bias, "sigmoid")
+    out = b.dense(x, w, bias, name="layer")
+    g = b.build()
+    with pytest.raises(ShapeMismatch, match="layer"):
+        evaluate(g, {"x": np.ones((2, 3)), "w": np.ones((3, 4)), "b": np.ones((1, 3))}, [out])
+
+
+def test_each_output_gets_its_own_cached_plan():
+    def build():
+        b = GraphBuilder()
+        x = b.input("x")
+        f = b.row_sum(b.mul(b.tanh(x), x))
+        h = b.row_sum(b.exp(b.smul(x, 0.5)))
+        return b.build(), f, h
+
+    arr = np.random.default_rng(13).standard_normal((1, 3))
+    graph, f, h = build()
+    first = [value_and_gradients(graph, {"x": arr}, out, ["x"]) for out in (f, h, f)]
+    for out, (val, grads) in zip((f, h, f), first):
+        fresh, _, _ = build()
+        ref_val, ref_grads = value_and_gradients(fresh, {"x": arr}, out, ["x"])
+        assert val == ref_val
+        np.testing.assert_array_equal(grads["x"], ref_grads["x"])
+    assert evaluate(graph, {"x": arr}, [h])[h][0, 0] == first[1][0]
+    assert evaluate(graph, {"x": arr}, [f, h])[f][0, 0] == first[0][0]
+
+
+def test_concurrent_value_and_gradients_on_one_graph():
+    rng = np.random.default_rng(14)
+    inputs = [_two_layer_bindings(rng, rows=64) for _ in range(4)]
+    serial, out = _two_layer(True, "tanh")
+    expected = [value_and_gradients(serial, bnd, out, _WRT) for bnd in inputs]
+    graph, _ = _two_layer(True, "tanh")  # its plan is first built under contention
+    jobs = inputs * 25
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda bnd: value_and_gradients(graph, bnd, out, _WRT), jobs))
+    finally:
+        sys.setswitchinterval(old)
+    for i, (val, grads) in enumerate(results):
+        ref_val, ref_grads = expected[i % len(inputs)]
+        assert val == ref_val
+        for name in _WRT:
+            np.testing.assert_array_equal(grads[name], ref_grads[name])

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ridkit.cli
+from ridkit.autodiff import GraphError
 from ridkit.cli import main
 from ridkit.fileio import (
     DATASET_FILE,
@@ -19,7 +21,7 @@ from ridkit.fileio import (
     sha256_of,
     write_dataset,
 )
-from ridkit.tasks import NoiseSpec, generate_dataset, make_task
+from ridkit.tasks import Dataset, NoiseSpec, generate_dataset, make_task
 
 
 def run(*argv) -> int:
@@ -213,3 +215,46 @@ def test_pipeline_reproducible_reports(tmp_path):
         assert run("pipeline", "--config", cfg_file) == 0
         reports.append((out / REPORT_FILE).read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_subcommand_config_rejects_unknown_field(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 25, "flow_epochs": 3}))
+    code = run("--config", cfg, "generate", "--task", "radian", "--n", "5",
+               "--out", tmp_path / "o")
+    assert code == 2
+    assert "flow_epochs" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_diverging_fold_exits_numeric_with_fold_id(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    data = Dataset(x=rng.standard_normal((40, 2)), y=np.full((40, 1), 1e300),
+                   task=make_task("radian"), noise=NoiseSpec(mode="none"), seed=0)
+    write_dataset(tmp_path, data)
+    code = run("weights", "--dataset", tmp_path, "--k", "2", "--epochs", "1",
+               "--out", tmp_path / "w")
+    assert code == 4
+    assert "fold 0" in capsys.readouterr().err
+
+
+def test_non_finite_weights_file_is_data_error(dataset_dir, tmp_path, capsys):
+    assert run("weights", "--dataset", dataset_dir, "--k", "3", "--epochs", "1",
+               "--out", tmp_path) == 0
+    doc = read_json(tmp_path / WEIGHTS_FILE)
+    doc["weights"][5] = float("nan")
+    (tmp_path / WEIGHTS_FILE).write_text(json.dumps(doc))
+    code = run("train", "--dataset", dataset_dir, "--weights", tmp_path / WEIGHTS_FILE,
+               "--blocks", "2", "--hidden", "8", "--epochs", "1", "--out", tmp_path / "m")
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_graph_error_is_data_error(dataset_dir, tmp_path, monkeypatch):
+    def bad_binding(*args, **kwargs):
+        raise GraphError("leaf 'x': non-finite entries in binding")
+
+    monkeypatch.setattr(ridkit.cli, "train_flow_wnll", bad_binding)
+    code = run("train", "--dataset", dataset_dir, "--blocks", "2", "--hidden", "8",
+               "--epochs", "1", "--out", tmp_path / "m")
+    assert code == 3

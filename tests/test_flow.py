@@ -221,8 +221,9 @@ def test_wnll_validates_weights():
     model = build_flow(2, 1, n_blocks=2, hidden=(4,), seed=0)
     with pytest.raises(ValueError, match="weights"):
         train_flow_wnll(model, x, y, np.ones(3), WnllConfig(epochs=1))
-    with pytest.raises(ValueError, match="positive"):
-        train_flow_wnll(model, x, y, np.array([1.0, 1.0, 0.0, 1.0]), WnllConfig(epochs=1))
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            train_flow_wnll(model, x, y, np.array([1.0, 1.0, bad, 1.0]), WnllConfig(epochs=1))
 
 
 def test_relabel_requires_surrogate():

@@ -3,8 +3,10 @@ import pytest
 
 from ridkit.neural import (
     AdamState,
+    FlatAdam,
     MlpParams,
     MlpSpec,
+    TrainingError,
     adam_step,
     init_adam,
     init_mlp,
@@ -186,3 +188,63 @@ def test_mlp_serialization_round_trip():
     for w1, w2 in zip(params.weights, back.weights):
         np.testing.assert_array_equal(w1, w2)
     assert doc["format_version"] == 1
+
+
+def _reference_adam(p, g, m, v, t, lr, beta1, beta2, eps, weight_decay):
+    """The per-array Adam formula the optimizer must reproduce bit for bit."""
+    m_new = beta1 * m + (1.0 - beta1) * g
+    v_new = beta2 * v + (1.0 - beta2) * (g * g)
+    c1 = 1.0 / (1.0 - beta1 ** t)
+    c2 = 1.0 / (1.0 - beta2 ** t)
+    p_new = p * (1.0 - lr * weight_decay) - lr * ((m_new * c1) / (np.sqrt(v_new * c2) + eps))
+    return p_new, m_new, v_new
+
+
+def test_flat_and_per_array_adam_bitwise_equal_reference():
+    rng = np.random.default_rng(21)
+    shapes = [(3, 5), (1, 5), (5, 2), (1, 2)]
+    params = [rng.standard_normal(s) for s in shapes]
+    lr, wd = 3e-3, 1e-2
+    ref = [(p.copy(), np.zeros_like(p), np.zeros_like(p)) for p in params]
+    state = init_adam(params, learning_rate=lr, weight_decay=wd)
+    functional = params
+    flat = FlatAdam(params, learning_rate=lr, weight_decay=wd)
+    views = flat.views(flat.params)
+    for t in range(1, 5):
+        grads = [rng.standard_normal(s) * 10.0 ** (t - 2) for s in shapes]
+        ref = [_reference_adam(p, g, m, v, t, lr, 0.9, 0.999, 1e-8, wd)
+               for (p, m, v), g in zip(ref, grads)]
+        functional, state = adam_step(functional, grads, state)
+        flat.step(grads)
+        for (p_ref, m_ref, v_ref), p_fun, m_fun, v_fun, p_flat in zip(
+                ref, functional, state.m, state.v, views):
+            np.testing.assert_array_equal(p_fun, p_ref)
+            np.testing.assert_array_equal(m_fun, m_ref)
+            np.testing.assert_array_equal(v_fun, v_ref)
+            np.testing.assert_array_equal(p_flat, p_ref)
+    assert state.step_count == flat.step_count == 4
+
+
+def test_flat_adam_rejects_non_finite_parameters():
+    flat = FlatAdam([np.zeros((2, 2))])
+    with pytest.raises(TrainingError, match="non-finite"), np.errstate(invalid="ignore"):
+        flat.step([np.full((2, 2), np.inf)])
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_in_place_forward_bitwise_equals_fresh_arrays(activation):
+    rng = np.random.default_rng(22)
+    spec = MlpSpec(3, 2, (16, 8), activation)
+    params = init_mlp(spec, rng)
+    params = MlpParams(spec, params.weights,
+                       tuple(rng.standard_normal(b.shape) for b in params.biases))
+    x = rng.standard_normal((50, 3))
+    act = np.tanh if activation == "tanh" else (lambda a: np.maximum(a, 0.0))
+    h = x
+    for li, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w + b
+        if li < len(params.weights) - 1:
+            h = act(h)
+    x_before = x.copy()
+    np.testing.assert_array_equal(mlp_forward(params, x), h)
+    np.testing.assert_array_equal(x, x_before)

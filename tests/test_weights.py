@@ -5,6 +5,7 @@ from ridkit.tasks import Dataset, NoiseSpec, make_task
 from ridkit.weights import (
     RobustnessEstimate,
     WeightConfig,
+    WeightVector,
     estimate_sample_robustness,
     kfold_split,
     robustness_to_weights,
@@ -153,3 +154,10 @@ def test_robustness_deterministic_and_thread_invariant():
 def test_robustness_estimate_validation():
     with pytest.raises(ValueError):
         RobustnessEstimate(r=np.array([-0.1, 2.1]))
+
+
+def test_weight_vector_rejects_non_finite_and_non_positive():
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            WeightVector(w=np.array([1.0, bad]))
+
