@@ -37,11 +37,8 @@ from .flow import (
     train_flow_wnll,
 )
 from .neural import (
-    AdamState,
     MlpParams,
     MlpSpec,
-    adam_step,
-    init_adam,
     init_mlp,
     mlp_forward,
     mse_loss,

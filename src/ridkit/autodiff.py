@@ -47,7 +47,6 @@ class UnboundLeaf(GraphError):
 
 
 _LEAF_OPS = frozenset({"input", "param", "const"})
-_UNARY = frozenset({"tanh", "relu", "exp", "log", "atan", "row_sum", "smul", "cols"})
 _BINARY = frozenset({"matmul", "add", "badd", "mul", "bmul"})
 _DENSE_ACTS = ("identity", "tanh", "relu")
 
@@ -79,13 +78,6 @@ class Graph:
 
     def node(self, name: str) -> Node:
         return self.nodes[self.pos[name]]
-
-    @property
-    def leaves(self) -> frozenset[str]:
-        return self.inputs | self.params
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.pos
 
 
 class GraphBuilder:
@@ -187,9 +179,6 @@ class GraphBuilder:
 
     def sub(self, a: str, b: str) -> str:
         return self.add(a, self.smul(b, -1.0))
-
-    def square(self, a: str) -> str:
-        return self.mul(a, a)
 
     def build(self) -> Graph:
         nodes = tuple(self._nodes.values())
@@ -318,6 +307,21 @@ def _plan(graph: Graph, outputs: tuple[str, ...]) -> _Plan:
     return plan
 
 
+def _forward(plan: _Plan, bindings: Mapping[str, np.ndarray], free: bool) -> dict[str, np.ndarray]:
+    """Runs the plan's forward nodes; with `free`, drops each value once no
+    later node reads it, otherwise keeps every activation for a backward pass."""
+    vals: dict[str, np.ndarray] = {}
+    for node, frees in zip(plan.forward, plan.frees):
+        if node.op in _LEAF_OPS:
+            vals[node.name] = _leaf_value(node, bindings)
+        else:
+            vals[node.name] = _apply(node, vals)
+        if free:
+            for a in frees:
+                del vals[a]
+    return vals
+
+
 def evaluate(
     graph: Graph,
     bindings: Mapping[str, np.ndarray],
@@ -332,15 +336,7 @@ def evaluate(
     """
     if outputs is None:
         outputs = [n.name for n in graph.nodes]
-    plan = _plan(graph, tuple(outputs))
-    vals: dict[str, np.ndarray] = {}
-    for node, frees in zip(plan.forward, plan.frees):
-        if node.op in _LEAF_OPS:
-            vals[node.name] = _leaf_value(node, bindings)
-        else:
-            vals[node.name] = _apply(node, vals)
-        for a in frees:
-            del vals[a]
+    vals = _forward(_plan(graph, tuple(outputs)), bindings, free=True)
     return {name: vals[name] for name in outputs}
 
 
@@ -433,12 +429,7 @@ def value_and_gradients(
         if graph.node(name).op not in ("input", "param"):
             raise GraphError(f"'{name}' is not a differentiable leaf")
     plan = _plan(graph, (output,))
-    vals: dict[str, np.ndarray] = {}
-    for node in plan.forward:
-        if node.op in _LEAF_OPS:
-            vals[node.name] = _leaf_value(node, bindings)
-        else:
-            vals[node.name] = _apply(node, vals)
+    vals = _forward(plan, bindings, free=False)
     out = vals[output]
     if out.shape != (1, 1):
         raise GraphError(f"gradients: output '{output}' has shape {out.shape}, expected (1, 1)")

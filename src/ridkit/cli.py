@@ -13,14 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from .autodiff import GraphError
 from .evaluation import EvalConfig, resimulation_error, welch_t_test
 from .fileio import (
-    DATASET_FILE,
     MODEL_FILE,
     REPORT_FILE,
     SAMPLES_FILE,
@@ -60,6 +58,16 @@ class UsageError(Exception):
     pass
 
 
+@contextmanager
+def _flag_errors():
+    """Reports a ValueError raised while building settings from flags as a
+    usage error; errors raised later, from the data, keep the data exit code."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -73,7 +81,9 @@ def cmd_generate(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     task = make_task(args.task)
-    noise = NoiseSpec(mode=args.noise, x_sigma=args.x_sigma, y_sigma=args.y_sigma, seed=args.seed)
+    with _flag_errors():
+        noise = NoiseSpec(mode=args.noise, x_sigma=args.x_sigma, y_sigma=args.y_sigma,
+                          seed=args.seed)
     dataset = generate_dataset(task, noise, args.n, args.seed)
     data_path = write_dataset(_out_dir(args), dataset)
     print(f"rows={dataset.n} sha256={sha256_of(data_path)}")
@@ -81,15 +91,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_weights(args) -> int:
+    with _flag_errors():
+        cfg = WeightConfig(
+            k_folds=args.k,
+            tau=args.tau,
+            eps=args.eps,
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            seed=args.seed,
+        )
     dataset = read_dataset(Path(args.dataset))
-    cfg = WeightConfig(
-        k_folds=args.k,
-        tau=args.tau,
-        eps=args.eps,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
     r = estimate_sample_robustness(dataset, cfg, threads=args.threads)
     w = robustness_to_weights(r, cfg.tau, cfg.eps)
     write_weights(_out_dir(args) / WEIGHTS_FILE, w, cfg)
@@ -98,6 +109,14 @@ def cmd_weights(args) -> int:
 
 
 def cmd_train(args) -> int:
+    with _flag_errors():
+        cfg = WnllConfig(
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            seed=derive_seed(args.seed, "flow-train"),
+            learning_rate=args.lr,
+            sigma_aug=args.sigma_aug,
+        )
     dataset = read_dataset(Path(args.dataset))
     weights = None
     if args.weights is not None:
@@ -106,21 +125,15 @@ def cmd_train(args) -> int:
             raise DataError(
                 f"{weights.shape[0]} weights do not align with {dataset.n} dataset rows"
             )
-    model = build_flow(
-        d_x=dataset.x.shape[1],
-        d_y=dataset.y.shape[1],
-        n_blocks=args.blocks,
-        hidden=tuple(args.hidden),
-        clamp=args.clamp,
-        seed=derive_seed(args.seed, "flow-init"),
-    )
-    cfg = WnllConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=derive_seed(args.seed, "flow-train"),
-        learning_rate=args.lr,
-        sigma_aug=args.sigma_aug,
-    )
+    with _flag_errors():
+        model = build_flow(
+            d_x=dataset.x.shape[1],
+            d_y=dataset.y.shape[1],
+            n_blocks=args.blocks,
+            hidden=tuple(args.hidden),
+            clamp=args.clamp,
+            seed=derive_seed(args.seed, "flow-init"),
+        )
     trained, trace = train_flow_wnll(model, dataset.x, dataset.y, weights, cfg)
     out = _out_dir(args)
     write_json(out / MODEL_FILE, flow_to_jsonable(trained))
@@ -175,14 +188,15 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = flow_from_jsonable(read_json(Path(args.model)))
     task = make_task(args.task)
-    noise = NoiseSpec(mode=args.noise, x_sigma=args.x_sigma, y_sigma=args.y_sigma)
-    cfg = EvalConfig(
-        n_targets=args.n_targets,
-        samples_per_target=args.samples_per_target,
-        seed=derive_seed(args.seed, "eval"),
-    )
+    with _flag_errors():
+        noise = NoiseSpec(mode=args.noise, x_sigma=args.x_sigma, y_sigma=args.y_sigma)
+        cfg = EvalConfig(
+            n_targets=args.n_targets,
+            samples_per_target=args.samples_per_target,
+            seed=derive_seed(args.seed, "eval"),
+        )
+    model = flow_from_jsonable(read_json(Path(args.model)))
     targets = generate_dataset(task, noise, cfg.n_targets, derive_seed(args.seed, "targets")).y
     report = resimulation_error(model, task, noise, targets, cfg, method="weighted-flow")
     if args.baseline is not None:
@@ -204,9 +218,8 @@ def _with_comparison(report, comparison: dict):
 
 def cmd_pipeline(args) -> int:
     """generate -> weights -> train -> eval from one RunConfig file."""
-    cfg = read_json(Path(args.config))
     ns = argparse.Namespace(**_pipeline_defaults())
-    for key, value in cfg.items():
+    for key, value in _read_config(args.config).items():
         if key not in vars(ns):
             raise UsageError(f"unknown RunConfig field '{key}'")
         setattr(ns, key, value)
@@ -347,11 +360,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path) -> dict:
+    cfg = read_json(Path(path))
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} must hold a JSON object, not {type(cfg).__name__}")
+    return cfg
+
+
 def _apply_config_overrides(args: argparse.Namespace) -> None:
     if getattr(args, "config", None) is None or args.command == "pipeline":
         return
-    cfg = read_json(args.config)
-    for key, value in cfg.items():
+    for key, value in _read_config(args.config).items():
         if not hasattr(args, key) or key in ("command", "func", "config"):
             raise UsageError(f"unknown {args.command} config field '{key}'")
         setattr(args, key, value)

@@ -17,15 +17,15 @@ from typing import Sequence
 import numpy as np
 
 from . import backend
-from .autodiff import Graph, GraphBuilder, evaluate, value_and_gradients
+from .autodiff import Graph, GraphBuilder, evaluate
 from .neural import (
-    FlatAdam,
     MlpParams,
     MlpSpec,
-    TrainingError,
     append_mlp_graph,
+    fit_minibatch,
     init_mlp,
     mlp_forward,
+    mlp_from_bindings,
     mlp_from_jsonable,
     mlp_param_bindings,
     mlp_to_jsonable,
@@ -128,6 +128,8 @@ def build_flow(
     starts as x = z and the density starts at the standard normal."""
     if d_x < 1 or d_y < 1:
         raise ValueError("d_x and d_y must be >= 1")
+    if n_blocks < 1:
+        raise ValueError("n_blocks must be >= 1")
     rng = np.random.default_rng(seed)
     blocks, perms = [], []
     for li in range(n_blocks):
@@ -298,7 +300,6 @@ class WnllConfig:
     learning_rate: float = 1e-3
     weight_decay: float = 1e-5
     sigma_aug: float = 1e-3  # additive x jitter during training
-    relabel: bool = False  # replace y by the surrogate's mean prediction
 
     def __post_init__(self):
         if self.sigma_aug < 0:
@@ -319,7 +320,6 @@ def train_flow_wnll(
     y: np.ndarray,
     weights: np.ndarray | None,
     cfg: WnllConfig,
-    relabel_params: MlpParams | None = None,
 ) -> tuple[FlowModel, list[float]]:
     """Weighted-likelihood fit; returns a new trained model and the per-epoch
     mean weighted NLL trace. The input model is not mutated.
@@ -341,10 +341,6 @@ def train_flow_wnll(
             raise ValueError(f"{w.shape[0]} weights for {n} samples")
         if not np.isfinite(w).all() or np.any(w <= 0):
             raise ValueError("weights must be finite and positive")
-    if cfg.relabel:
-        if relabel_params is None:
-            raise ValueError("relabel=True needs a trained surrogate (relabel_params)")
-        y = mlp_forward(relabel_params, x)
 
     x_shift, x_scale = _standardize_stats(x)
     y_shift, y_scale = _standardize_stats(y)
@@ -357,53 +353,28 @@ def train_flow_wnll(
         _cache={},
     )
     graph, names = work.nll_graph()
-    bindings = work.param_bindings()
-    param_names = list(bindings.keys())
-    opt = FlatAdam(
-        [bindings[nm] for nm in param_names],
-        learning_rate=cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-    )
-    bindings.update(zip(param_names, opt.views(opt.params)))
-
     rng = np.random.default_rng(cfg.seed)
-    trace: list[float] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            nb = idx.size
-            xb = x[idx]
-            if cfg.sigma_aug > 0:
-                xb = xb + cfg.sigma_aug * rng.standard_normal(xb.shape)
-            bindings["x"] = xb
-            bindings["y"] = y[idx]
-            bindings["w_row"] = (w[idx] / nb).reshape(1, nb)
-            loss, grads = value_and_gradients(graph, bindings, names["loss"], param_names)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite flow loss at epoch {epoch}")
-            epoch_loss += loss * nb
-            opt.step([grads[nm] for nm in param_names])
-        trace.append(epoch_loss / n)
 
-    trained = dict(zip(param_names, opt.views(opt.params)))
-    new_blocks = []
-    for li, blk in enumerate(work.blocks):
-        new_blocks.append(
-            replace(
-                blk,
-                s_params=_subnet_from(trained, f"b{li}.s", blk.s_params.spec),
-                t_params=_subnet_from(trained, f"b{li}.t", blk.t_params.spec),
-            )
+    def batch_leaves(idx: np.ndarray) -> dict[str, np.ndarray]:
+        nb = idx.size
+        xb = x[idx]
+        if cfg.sigma_aug > 0:
+            xb = xb + cfg.sigma_aug * rng.standard_normal(xb.shape)
+        return {"x": xb, "y": y[idx], "w_row": (w[idx] / nb).reshape(1, nb)}
+
+    trained, trace = fit_minibatch(
+        graph, names["loss"], work.param_bindings(), batch_leaves, n, cfg.epochs,
+        cfg.batch_size, rng, cfg.learning_rate, cfg.weight_decay,
+    )
+    new_blocks = tuple(
+        replace(
+            blk,
+            s_params=mlp_from_bindings(f"b{li}.s", blk.s_params.spec, trained),
+            t_params=mlp_from_bindings(f"b{li}.t", blk.t_params.spec, trained),
         )
-    return replace(work, blocks=tuple(new_blocks), _cache={}), trace
-
-
-def _subnet_from(trained: dict[str, np.ndarray], prefix: str, spec: MlpSpec) -> MlpParams:
-    weights = tuple(trained[f"{prefix}.w{li}"] for li in range(len(spec.layer_dims)))
-    biases = tuple(trained[f"{prefix}.b{li}"] for li in range(len(spec.layer_dims)))
-    return MlpParams(spec, weights, biases)
+        for li, blk in enumerate(work.blocks)
+    )
+    return replace(work, blocks=new_blocks, _cache={}), trace
 
 
 # serialization ---------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Multilayer perceptron regression: forward pass, MSE, Adam, training loop.
+"""Multilayer perceptron regression: forward pass, MSE, Adam, the training loop.
+
+fit_minibatch is the one minibatch Adam loop; train_regressor and the
+flow's weighted-likelihood fit both run through it.
 
 The regressors serve two roles: forward surrogates that estimate the mean
 response of a noisy process (their held-out error is the per-sample
@@ -8,8 +11,8 @@ robustness signal), and the scale/shift subnets inside coupling blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -19,14 +22,12 @@ from .autodiff import Graph, GraphBuilder, value_and_gradients
 __all__ = [
     "MlpSpec",
     "MlpParams",
-    "AdamState",
     "TrainingError",
     "init_mlp",
     "mlp_forward",
     "mse_loss",
-    "init_adam",
-    "adam_step",
     "FlatAdam",
+    "fit_minibatch",
     "train_regressor",
     "mlp_to_jsonable",
     "mlp_from_jsonable",
@@ -74,12 +75,6 @@ class MlpParams:
                 raise ValueError(
                     f"layer shapes {w.shape}/{b.shape} do not chain for ({din}, {dout})"
                 )
-
-    def arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
 
 
 def init_mlp(spec: MlpSpec, rng: np.random.Generator, zero_final: bool = False) -> MlpParams:
@@ -132,31 +127,12 @@ def mse_loss(y_pred: np.ndarray, y_true: np.ndarray) -> tuple[np.ndarray, float]
 
 # optimizer ---------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class AdamState:
-    learning_rate: float = 1e-3
-    weight_decay: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step_count: int = 0
-    m: tuple[np.ndarray, ...] = ()
-    v: tuple[np.ndarray, ...] = ()
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
 
 
-def init_adam(params: Sequence[np.ndarray], **kwargs) -> AdamState:
-    zeros = tuple(np.zeros_like(p) for p in params)
-    return AdamState(m=zeros, v=tuple(np.zeros_like(p) for p in params), **kwargs)
-
-
-def _adam_update(p, g, m, v, t, cfg: AdamState, tmp, tmp2) -> None:
+def _adam_update(p, g, m, v, t, lr, wd, tmp, tmp2) -> None:
     """One Adam step with bias correction and decoupled weight decay, in place.
 
     Rewrites p, m and v; tmp and tmp2 are scratch arrays shaped like p.
@@ -164,41 +140,21 @@ def _adam_update(p, g, m, v, t, cfg: AdamState, tmp, tmp2) -> None:
     p = p*(1 - lr*wd) - lr*((m*c1) / (sqrt(v*c2) + eps)) with exactly these
     roundings, so any split of the parameters into arrays gives the same bits.
     """
-    b1, b2, lr = cfg.beta1, cfg.beta2, cfg.learning_rate
-    m *= b1
-    np.multiply(g, 1.0 - b1, out=tmp)
+    m *= _BETA1
+    np.multiply(g, 1.0 - _BETA1, out=tmp)
     m += tmp
-    v *= b2
+    v *= _BETA2
     np.multiply(g, g, out=tmp)
-    tmp *= 1.0 - b2
+    tmp *= 1.0 - _BETA2
     v += tmp
-    np.multiply(v, 1.0 / (1.0 - b2 ** t), out=tmp2)
+    np.multiply(v, 1.0 / (1.0 - _BETA2 ** t), out=tmp2)
     np.sqrt(tmp2, out=tmp2)
-    tmp2 += cfg.epsilon
-    np.multiply(m, 1.0 / (1.0 - b1 ** t), out=tmp)
+    tmp2 += _EPSILON
+    np.multiply(m, 1.0 / (1.0 - _BETA1 ** t), out=tmp)
     tmp /= tmp2
     tmp *= lr
-    p *= 1.0 - lr * cfg.weight_decay
+    p *= 1.0 - lr * wd
     p -= tmp
-
-
-def adam_step(
-    params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """Standard bias-corrected Adam update with decoupled weight decay."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads and optimizer buffers must align")
-    t = state.step_count + 1
-    new_p, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"grad shape {g.shape} does not match param {p.shape}")
-        p2, m2, v2 = (np.array(a, dtype=np.float64) for a in (p, m, v))
-        _adam_update(p2, g, m2, v2, t, state, np.empty_like(p2), np.empty_like(p2))
-        new_p.append(p2)
-        new_m.append(m2)
-        new_v.append(v2)
-    return new_p, replace(state, step_count=t, m=tuple(new_m), v=tuple(new_v))
 
 
 class FlatAdam:
@@ -207,12 +163,15 @@ class FlatAdam:
     Parameters, gradients and both moments each live in a single float64
     buffer; `views` cuts a buffer into arrays shaped like the ones given at
     construction, so callers bind per-layer views and read every update
-    without copies. Bitwise equal to adam_step on the same arrays.
+    without copies.
     """
 
     def __init__(self, arrays: Sequence[np.ndarray], learning_rate: float = 1e-3,
                  weight_decay: float = 1e-5):
-        self.config = AdamState(learning_rate=learning_rate, weight_decay=weight_decay)
+        if learning_rate < 0.0:
+            raise ValueError("learning_rate must be >= 0")
+        self.learning_rate = learning_rate
+        self.weight_decay = weight_decay
         self._shapes = [np.shape(a) for a in arrays]
         self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
         self._grads, self._m, self._v, self._tmp, self._tmp2 = (
@@ -236,7 +195,7 @@ class FlatAdam:
         np.concatenate([np.ravel(g) for g in grads], out=self._grads)
         self.step_count += 1
         _adam_update(self.params, self._grads, self._m, self._v, self.step_count,
-                     self.config, self._tmp, self._tmp2)
+                     self.learning_rate, self.weight_decay, self._tmp, self._tmp2)
         if not np.isfinite(self.params).all():
             raise TrainingError(f"non-finite parameters after Adam step {self.step_count}")
 
@@ -266,6 +225,13 @@ def mlp_param_bindings(prefix: str, params: MlpParams) -> dict[str, np.ndarray]:
     return out
 
 
+def mlp_from_bindings(prefix: str, spec: MlpSpec, bindings: Mapping[str, np.ndarray]) -> MlpParams:
+    """Inverse of mlp_param_bindings: the MlpParams bound under `prefix`."""
+    layers = range(len(spec.layer_dims))
+    return MlpParams(spec, tuple(bindings[f"{prefix}.w{li}"] for li in layers),
+                     tuple(bindings[f"{prefix}.b{li}"] for li in layers))
+
+
 def _regression_loss_graph(spec: MlpSpec) -> tuple[Graph, str]:
     b = GraphBuilder()
     x = b.input("x")
@@ -281,21 +247,58 @@ def _regression_loss_graph(spec: MlpSpec) -> tuple[Graph, str]:
 # training -----------------------------------------------------------------------
 
 
+def fit_minibatch(
+    graph: Graph,
+    loss_node: str,
+    params: Mapping[str, np.ndarray],
+    batch_leaves: Callable[[np.ndarray], dict[str, np.ndarray]],
+    n: int,
+    epochs: int,
+    batch_size: int,
+    rng: np.random.Generator,
+    learning_rate: float,
+    weight_decay: float,
+) -> tuple[dict[str, np.ndarray], list[float]]:
+    """Minibatch Adam on a batch-mean scalar loss node of `graph`.
+
+    `params` maps parameter leaves to their initial arrays, which are not
+    modified. Each epoch draws one rng.permutation(n) and cuts it into
+    batches; batch_leaves(idx) returns the bindings of every other leaf for
+    the rows idx and may draw from rng itself. Returns the trained arrays
+    under the same names and the per-epoch mean loss.
+    """
+    names = list(params)
+    opt = FlatAdam([params[nm] for nm in names], learning_rate, weight_decay)
+    trained = dict(zip(names, opt.views(opt.params)))
+    bindings = dict(trained)
+    trace: list[float] = []
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            bindings.update(batch_leaves(idx))
+            loss, grads = value_and_gradients(graph, bindings, loss_node, names)
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite loss at epoch {epoch}")
+            epoch_loss += loss * idx.size
+            opt.step([grads[nm] for nm in names])
+        trace.append(epoch_loss / n)
+    return trained, trace
+
+
 def train_regressor(
     spec: MlpSpec,
     train: tuple[np.ndarray, np.ndarray],
-    valid: tuple[np.ndarray, np.ndarray] | None,
     epochs: int,
     batch_size: int,
     seed: int,
     learning_rate: float = 1e-3,
     weight_decay: float = 1e-5,
-) -> tuple[MlpParams, list[dict]]:
+) -> tuple[MlpParams, list[float]]:
     """Minibatch Adam on batch-mean MSE; reproducible under the seed.
 
-    Returns the parameters from the epoch with the lowest validation MSE
-    (the final parameters when no validation set is given) and the
-    per-epoch loss trace.
+    Returns the final parameters and the per-epoch mean training MSE.
     """
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train)
     n = x_train.shape[0]
@@ -304,48 +307,17 @@ def train_regressor(
     if x_train.shape[1] != spec.input_dim or y_train.shape[1] != spec.output_dim:
         raise ValueError("training data does not match spec dims")
     rng = np.random.default_rng(seed)
-    params = init_mlp(spec, rng)
-    opt = FlatAdam(params.arrays(), learning_rate=learning_rate, weight_decay=weight_decay)
-    arrays = opt.views(opt.params)
-    names = list(mlp_param_bindings("mlp", params).keys())
-    bindings = dict(zip(names, arrays))
     graph, loss_node = _regression_loss_graph(spec)
 
-    best = opt.params.copy()
-    best_valid = np.inf
-    trace: list[dict] = []
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            nb = idx.size
-            bindings["x"] = x_train[idx]
-            bindings["y"] = y_train[idx]
-            bindings["mean_row"] = np.full((1, nb), 1.0 / nb)
-            loss, grads = value_and_gradients(graph, bindings, loss_node, names)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
-            epoch_loss += loss * nb
-            opt.step([grads[nm] for nm in names])
-        record = {"epoch": epoch, "train_mse": epoch_loss / n}
-        if valid is not None and len(valid[0]) > 0:
-            params_now = _params_from_arrays(spec, arrays)
-            _, vmse = mse_loss(mlp_forward(params_now, valid[0]), np.asarray(valid[1], dtype=np.float64))
-            record["valid_mse"] = vmse
-            if vmse < best_valid:
-                best_valid = vmse
-                np.copyto(best, opt.params)
-        trace.append(record)
-    if valid is None or len(valid[0]) == 0:
-        best = opt.params
-    return _params_from_arrays(spec, opt.views(best)), trace
+    def batch_leaves(idx: np.ndarray) -> dict[str, np.ndarray]:
+        return {"x": x_train[idx], "y": y_train[idx],
+                "mean_row": np.full((1, idx.size), 1.0 / idx.size)}
 
-
-def _params_from_arrays(spec: MlpSpec, arrays: Sequence[np.ndarray]) -> MlpParams:
-    weights = tuple(arrays[2 * i] for i in range(len(spec.layer_dims)))
-    biases = tuple(arrays[2 * i + 1] for i in range(len(spec.layer_dims)))
-    return MlpParams(spec, weights, biases)
+    trained, trace = fit_minibatch(
+        graph, loss_node, mlp_param_bindings("mlp", init_mlp(spec, rng)), batch_leaves, n,
+        epochs, batch_size, rng, learning_rate, weight_decay,
+    )
+    return mlp_from_bindings("mlp", spec, trained), trace
 
 
 # serialization -------------------------------------------------------------------

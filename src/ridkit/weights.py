@@ -57,6 +57,8 @@ class WeightConfig:
             raise ValueError("tau must be >= 0")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
         object.__setattr__(self, "surrogate_hidden", tuple(int(h) for h in self.surrogate_hidden))
 
     def to_jsonable(self) -> dict:
@@ -137,7 +139,6 @@ def _fold_errors(
         params, _ = train_regressor(
             spec,
             (dataset.x[mask], dataset.y[mask]),
-            valid=None,
             epochs=cfg.epochs,
             batch_size=cfg.batch_size,
             seed=derive_seed(cfg.seed, f"fold{fold_id}"),

@@ -258,3 +258,41 @@ def test_graph_error_is_data_error(dataset_dir, tmp_path, monkeypatch):
     code = run("train", "--dataset", dataset_dir, "--blocks", "2", "--hidden", "8",
                "--epochs", "1", "--out", tmp_path / "m")
     assert code == 3
+
+
+@pytest.mark.parametrize("where", ["subcommand", "pipeline"])
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, where):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    if where == "subcommand":
+        code = run("--config", cfg, "generate", "--task", "radian", "--n", "5",
+                   "--out", tmp_path / "o")
+    else:
+        code = run("pipeline", "--config", cfg)
+    assert code == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.fixture
+def model_file(dataset_dir, tmp_path):
+    out = tmp_path / "model"
+    assert run("train", "--dataset", dataset_dir, "--blocks", "2", "--hidden", "8",
+               "--epochs", "1", "--out", out) == 0
+    return out / MODEL_FILE
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--task", "radian", "--noise", "n_x", "--n", "5", "--x-sigma", "-1"),
+    ("train", "--dataset", "{data}", "--epochs", "0"),
+    ("train", "--dataset", "{data}", "--blocks", "0"),
+    ("weights", "--dataset", "{data}", "--k", "1"),
+    ("weights", "--dataset", "{data}", "--epochs", "0"),
+    ("weights", "--dataset", "{data}", "--batch-size", "0"),
+    ("eval", "--model", "{model}", "--task", "radian", "--n-targets", "0"),
+    ("sample", "--model", "{model}", "--targets", "{data}", "--n-per-target", "0"),
+], ids=["generate-x-sigma", "train-epochs", "train-blocks", "weights-k", "weights-epochs", "weights-batch-size",
+        "eval-n-targets", "sample-n-per-target"])
+def test_out_of_range_flag_is_usage_error(dataset_dir, model_file, tmp_path, capsys, argv):
+    argv = [a.format(data=dataset_dir, model=model_file) for a in argv]
+    assert run(*argv, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.startswith("error: ")

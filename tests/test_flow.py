@@ -17,7 +17,7 @@ from ridkit.flow import (
     flow_to_jsonable,
     train_flow_wnll,
 )
-from ridkit.neural import MlpParams, init_mlp, mlp_forward
+from ridkit.neural import MlpParams, TrainingError, init_mlp, mlp_forward
 
 
 def _randomized(model, seed):
@@ -226,13 +226,15 @@ def test_wnll_validates_weights():
             train_flow_wnll(model, x, y, np.array([1.0, 1.0, bad, 1.0]), WnllConfig(epochs=1))
 
 
-def test_relabel_requires_surrogate():
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_wnll_non_finite_loss_names_the_epoch():
+    # finite weights near the float64 limit overflow the weighted batch sum
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((8, 2))
+    y = rng.standard_normal((8, 1))
     model = build_flow(2, 1, n_blocks=2, hidden=(4,), seed=0)
-    with pytest.raises(ValueError, match="relabel"):
-        train_flow_wnll(
-            model, np.zeros((4, 2)), np.zeros((4, 1)), None,
-            WnllConfig(epochs=1, relabel=True),
-        )
+    with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
+        train_flow_wnll(model, x, y, np.full(8, 1e308), WnllConfig(epochs=2, batch_size=8))
 
 
 def test_flow_serialization_round_trip():

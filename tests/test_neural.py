@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from ridkit.neural import (
-    AdamState,
     FlatAdam,
     MlpParams,
     MlpSpec,
     TrainingError,
-    adam_step,
-    init_adam,
     init_mlp,
     mlp_forward,
     mlp_from_jsonable,
@@ -69,29 +66,30 @@ def test_mse_shape_mismatch():
         mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+def _adam_once(params, grads, **kwargs):
+    opt = FlatAdam(params, **kwargs)
+    opt.step(grads)
+    return opt.views(opt.params)
+
+
 def test_adam_first_step_hand_value():
-    p = [np.zeros((2, 2))]
-    g = [np.ones((2, 2))]
-    state = init_adam(p, learning_rate=1e-3, weight_decay=0.0)
-    new_p, new_state = adam_step(p, g, state)
     # t=1 bias correction makes m_hat = v_hat = 1, so delta = lr / (1 + eps)
+    new_p = _adam_once([np.zeros((2, 2))], [np.ones((2, 2))], learning_rate=1e-3,
+                       weight_decay=0.0)
     expected = -1e-3 * (1.0 / (1.0 + 1e-8))
     np.testing.assert_allclose(new_p[0], np.full((2, 2), expected), rtol=1e-12)
-    assert new_state.step_count == 1
 
 
 def test_adam_zero_grad_keeps_params():
     p = [np.full((2, 2), 0.7)]
-    state = init_adam(p, weight_decay=0.0)
-    new_p, _ = adam_step(p, [np.zeros((2, 2))], state)
+    new_p = _adam_once(p, [np.zeros((2, 2))], weight_decay=0.0)
     np.testing.assert_array_equal(new_p[0], p[0])
 
 
 def test_adam_identical_params_get_identical_updates():
     p = [np.full((2, 1), 0.3), np.full((2, 1), 0.3)]
     g = [np.full((2, 1), 0.1), np.full((2, 1), 0.1)]
-    state = init_adam(p)
-    new_p, _ = adam_step(p, g, state)
+    new_p = _adam_once(p, g)
     np.testing.assert_array_equal(new_p[0], new_p[1])
 
 
@@ -99,16 +97,13 @@ def test_adam_zero_lr_keeps_params():
     rng = np.random.default_rng(2)
     p = [rng.standard_normal((3, 3))]
     g = [rng.standard_normal((3, 3))]
-    state = init_adam(p, learning_rate=0.0, weight_decay=0.1)
-    new_p, _ = adam_step(p, g, state)
+    new_p = _adam_once(p, g, learning_rate=0.0, weight_decay=0.1)
     np.testing.assert_array_equal(new_p[0], p[0])
 
 
-def test_adam_state_validation():
-    with pytest.raises(ValueError):
-        AdamState(beta1=1.0)
-    with pytest.raises(ValueError):
-        AdamState(learning_rate=-1.0)
+def test_flat_adam_rejects_negative_learning_rate():
+    with pytest.raises(ValueError, match="learning_rate"):
+        FlatAdam([np.zeros((2, 2))], learning_rate=-1.0)
 
 
 def test_glorot_init_bounds():
@@ -124,8 +119,7 @@ def test_train_regressor_fits_noiseless_linear_rule():
     x = rng.uniform(-1, 1, size=(400, 1))
     y = 2.0 * x
     params, trace = train_regressor(
-        MlpSpec(1, 1, (16,)), (x, y), None, epochs=400, batch_size=64, seed=0,
-        weight_decay=0.0,
+        MlpSpec(1, 1, (16,)), (x, y), epochs=400, batch_size=64, seed=0, weight_decay=0.0,
     )
     _, final_mse = mse_loss(mlp_forward(params, x), y)
     assert final_mse < 1e-3
@@ -136,25 +130,23 @@ def test_train_regressor_constant_zero_target():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((200, 2))
     y = np.zeros((200, 1))
-    params, _ = train_regressor(
-        MlpSpec(2, 1, (8,)), (x, y), None, epochs=100, batch_size=50, seed=0
-    )
+    params, _ = train_regressor(MlpSpec(2, 1, (8,)), (x, y), epochs=100, batch_size=50, seed=0)
     _, m = mse_loss(mlp_forward(params, x), y)
     assert m < 1e-4
 
 
 def test_train_regressor_recovers_mean_function_under_noise():
-    # y = x + N(0, 0.1^2): validation MSE should sit near the noise floor and
+    # y = x + N(0, 0.1^2): held-out MSE should sit near the noise floor and
     # the prediction error against the clean rule should be well below sigma
     rng = np.random.default_rng(7)
     sigma = 0.1
     x = rng.uniform(-1, 1, size=(4000, 1))
     y = x + sigma * rng.standard_normal((4000, 1))
-    params, trace = train_regressor(
-        MlpSpec(1, 1, (32,)), (x[:3500], y[:3500]), (x[3500:], y[3500:]),
-        epochs=120, batch_size=128, seed=0,
+    params, _ = train_regressor(
+        MlpSpec(1, 1, (32,)), (x[:3500], y[:3500]), epochs=120, batch_size=128, seed=0,
     )
-    assert trace[-1]["valid_mse"] == pytest.approx(sigma**2, rel=0.5)
+    _, held_out_mse = mse_loss(mlp_forward(params, x[3500:]), y[3500:])
+    assert held_out_mse == pytest.approx(sigma**2, rel=0.5)
     clean_err = np.sqrt(mse_loss(mlp_forward(params, x), x)[1])
     assert clean_err < sigma
 
@@ -163,14 +155,16 @@ def test_train_regressor_reproducible():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((100, 2))
     y = x[:, :1] - x[:, 1:]
-    a = train_regressor(MlpSpec(2, 1, (8,)), (x, y), None, epochs=20, batch_size=32, seed=5)
-    b = train_regressor(MlpSpec(2, 1, (8,)), (x, y), None, epochs=20, batch_size=32, seed=5)
-    assert [r["train_mse"] for r in a[1]] == [r["train_mse"] for r in b[1]]
+    a = train_regressor(MlpSpec(2, 1, (8,)), (x, y), epochs=20, batch_size=32, seed=5)
+    b = train_regressor(MlpSpec(2, 1, (8,)), (x, y), epochs=20, batch_size=32, seed=5)
+    assert a[1] == b[1]
+    for wa, wb in zip(a[0].weights, b[0].weights):
+        np.testing.assert_array_equal(wa, wb)
 
 
 def test_train_regressor_empty_raises():
     with pytest.raises(ValueError):
-        train_regressor(MlpSpec(1, 1), (np.zeros((0, 1)), np.zeros((0, 1))), None, 1, 8, 0)
+        train_regressor(MlpSpec(1, 1), (np.zeros((0, 1)), np.zeros((0, 1))), 1, 8, 0)
 
 
 def test_mlp_spec_validation():
@@ -206,23 +200,19 @@ def test_flat_and_per_array_adam_bitwise_equal_reference():
     params = [rng.standard_normal(s) for s in shapes]
     lr, wd = 3e-3, 1e-2
     ref = [(p.copy(), np.zeros_like(p), np.zeros_like(p)) for p in params]
-    state = init_adam(params, learning_rate=lr, weight_decay=wd)
-    functional = params
     flat = FlatAdam(params, learning_rate=lr, weight_decay=wd)
     views = flat.views(flat.params)
+    m_views, v_views = flat.views(flat._m), flat.views(flat._v)
     for t in range(1, 5):
         grads = [rng.standard_normal(s) * 10.0 ** (t - 2) for s in shapes]
         ref = [_reference_adam(p, g, m, v, t, lr, 0.9, 0.999, 1e-8, wd)
                for (p, m, v), g in zip(ref, grads)]
-        functional, state = adam_step(functional, grads, state)
         flat.step(grads)
-        for (p_ref, m_ref, v_ref), p_fun, m_fun, v_fun, p_flat in zip(
-                ref, functional, state.m, state.v, views):
-            np.testing.assert_array_equal(p_fun, p_ref)
-            np.testing.assert_array_equal(m_fun, m_ref)
-            np.testing.assert_array_equal(v_fun, v_ref)
+        for (p_ref, m_ref, v_ref), p_flat, m_flat, v_flat in zip(ref, views, m_views, v_views):
             np.testing.assert_array_equal(p_flat, p_ref)
-    assert state.step_count == flat.step_count == 4
+            np.testing.assert_array_equal(m_flat, m_ref)
+            np.testing.assert_array_equal(v_flat, v_ref)
+    assert flat.step_count == 4
 
 
 def test_flat_adam_rejects_non_finite_parameters():
