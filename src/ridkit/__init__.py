@@ -7,14 +7,6 @@ stochastic benchmark tasks.
 """
 
 from . import backend
-from .autodiff import (
-    Graph,
-    GraphBuilder,
-    evaluate,
-    finite_diff_check,
-    gradients,
-    value_and_gradients,
-)
 from .evaluation import (
     EvalConfig,
     EvalReport,

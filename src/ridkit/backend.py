@@ -28,12 +28,6 @@ def coupling_fwd(active, s_raw, t, clamp):
     return active * np.exp(s_eff) + t, s_eff
 
 
-def coupling_inv(v_active, s_raw, t, clamp):
-    """Exact inverse of coupling_fwd: u = (v - t) * exp(-s). Returns (u, s_eff)."""
-    s_eff = softclamp(s_raw, clamp)
-    return (v_active - t) * np.exp(-s_eff), s_eff
-
-
 def row_sumsq_diff(a, b):
     """Per-row sum of squared differences, shape (n, 1)."""
     d = a - b

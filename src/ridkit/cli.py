@@ -16,7 +16,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .autodiff import GraphError
 from .evaluation import EvalConfig, resimulation_error, welch_t_test
 from .fileio import (
     MODEL_FILE,
@@ -60,11 +59,12 @@ class UsageError(Exception):
 
 @contextmanager
 def _flag_errors():
-    """Reports a ValueError raised while building settings from flags as a
-    usage error; errors raised later, from the data, keep the data exit code."""
+    """Reports a ValueError or TypeError raised while building settings from
+    flags or config fields as a usage error; errors raised later, from the
+    data, keep the data exit code."""
     try:
         yield
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -225,34 +225,38 @@ def cmd_pipeline(args) -> int:
         setattr(ns, key, value)
     if ns.task is None or ns.out is None:
         raise UsageError("RunConfig needs at least 'task' and 'out'")
-    out = Path(ns.out)
-    seed = int(ns.seed)
-
-    gen = argparse.Namespace(
-        task=ns.task, noise=ns.noise, n=int(ns.n), seed=derive_seed(seed, "dataset"),
-        x_sigma=ns.x_sigma, y_sigma=ns.y_sigma, out=out,
-    )
+    if ns.task not in TASK_NAMES:
+        raise UsageError(f"RunConfig task must be one of {TASK_NAMES}, not {ns.task!r}")
+    if ns.noise not in NOISE_MODES:
+        raise UsageError(f"RunConfig noise must be one of {NOISE_MODES}, not {ns.noise!r}")
+    with _flag_errors():
+        out = Path(ns.out)
+        seed = int(ns.seed)
+        gen = argparse.Namespace(
+            task=ns.task, noise=ns.noise, n=int(ns.n), seed=derive_seed(seed, "dataset"),
+            x_sigma=ns.x_sigma, y_sigma=ns.y_sigma, out=out,
+        )
+        wargs = argparse.Namespace(
+            dataset=out, k=int(ns.k_folds), tau=float(ns.tau), eps=float(ns.eps),
+            epochs=int(ns.surrogate_epochs), batch_size=int(ns.surrogate_batch_size),
+            seed=derive_seed(seed, "weights"), threads=int(ns.threads), out=out,
+        )
+        targs = argparse.Namespace(
+            dataset=out, weights=out / WEIGHTS_FILE if float(ns.tau) > 0 else None,
+            blocks=int(ns.blocks), hidden=list(ns.hidden), clamp=float(ns.clamp),
+            epochs=int(ns.flow_epochs), batch_size=int(ns.flow_batch_size),
+            lr=float(ns.learning_rate), sigma_aug=float(ns.sigma_aug),
+            seed=derive_seed(seed, "train"), out=out,
+        )
+        eargs = argparse.Namespace(
+            model=out / MODEL_FILE, task=ns.task, noise=ns.noise,
+            x_sigma=ns.x_sigma, y_sigma=ns.y_sigma,
+            n_targets=int(ns.n_targets), samples_per_target=int(ns.samples_per_target),
+            seed=derive_seed(seed, "eval"), baseline=None, out=out,
+        )
     cmd_generate(gen)
-    wargs = argparse.Namespace(
-        dataset=out, k=int(ns.k_folds), tau=float(ns.tau), eps=float(ns.eps),
-        epochs=int(ns.surrogate_epochs), batch_size=int(ns.surrogate_batch_size),
-        seed=derive_seed(seed, "weights"), threads=int(ns.threads), out=out,
-    )
     cmd_weights(wargs)
-    targs = argparse.Namespace(
-        dataset=out, weights=out / WEIGHTS_FILE if float(ns.tau) > 0 else None,
-        blocks=int(ns.blocks), hidden=list(ns.hidden), clamp=float(ns.clamp),
-        epochs=int(ns.flow_epochs), batch_size=int(ns.flow_batch_size),
-        lr=float(ns.learning_rate), sigma_aug=float(ns.sigma_aug),
-        seed=derive_seed(seed, "train"), out=out,
-    )
     cmd_train(targs)
-    eargs = argparse.Namespace(
-        model=out / MODEL_FILE, task=ns.task, noise=ns.noise,
-        x_sigma=ns.x_sigma, y_sigma=ns.y_sigma,
-        n_targets=int(ns.n_targets), samples_per_target=int(ns.samples_per_target),
-        seed=derive_seed(seed, "eval"), baseline=None, out=out,
-    )
     cmd_eval(eargs)
     return EXIT_OK
 
@@ -385,7 +389,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, GraphError, ValueError) as exc:
+    except (DataError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingError as exc:

@@ -11,17 +11,16 @@ log-likelihood, which is how non-robust samples get suppressed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import backend
-from .autodiff import Graph, GraphBuilder, evaluate
 from .neural import (
     MlpParams,
     MlpSpec,
-    append_mlp_graph,
+    _mlp_backward,
     fit_minibatch,
     init_mlp,
     mlp_forward,
@@ -41,6 +40,7 @@ __all__ = [
     "flow_forward",
     "flow_log_prob",
     "flow_sample",
+    "value_and_gradients",
     "train_flow_wnll",
     "flow_to_jsonable",
     "flow_from_jsonable",
@@ -85,7 +85,6 @@ class FlowModel:
     x_scale: np.ndarray
     y_shift: np.ndarray  # (1, d_y)
     y_scale: np.ndarray
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.perms) != len(self.blocks):
@@ -100,11 +99,6 @@ class FlowModel:
             out.update(mlp_param_bindings(f"b{li}.s", blk.s_params))
             out.update(mlp_param_bindings(f"b{li}.t", blk.t_params))
         return out
-
-    def nll_graph(self) -> tuple[Graph, dict[str, str]]:
-        if "nll" not in self._cache:
-            self._cache["nll"] = _build_nll_graph(self)
-        return self._cache["nll"]
 
 
 def _checkerboard(d_x: int, parity: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -182,17 +176,57 @@ def coupling_forward(
     return v, s_eff.sum(axis=1, keepdims=True)
 
 
+def _coupling_inverse_step(
+    block: CouplingBlock, v: np.ndarray, cond: np.ndarray, tape: list | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of coupling_forward on float64 rows: u = (v - t) * exp(-s) on
+    the active half. Returns (u, per-row log-det column of the forward map).
+
+    With a list for `tape`, appends what _coupling_inverse_backward reads.
+    """
+    active, passive = list(block.active), list(block.passive)
+    v_p = v[:, passive]
+    h = np.concatenate([v_p, cond], axis=1) if passive else cond
+    s_tape, t_tape = ([], []) if tape is not None else (None, None)
+    s_raw = mlp_forward(block.s_params, h, s_tape)
+    t = mlp_forward(block.t_params, h, t_tape)
+    s_eff = backend.softclamp(s_raw, block.clamp)
+    e = np.exp(-s_eff)
+    diff = v[:, active] - t
+    u = v.copy()
+    u[:, active] = diff * e
+    if tape is not None:
+        tape.append((h, s_tape, t_tape, s_raw, diff, e))
+    return u, s_eff.sum(axis=1, keepdims=True)
+
+
+def _coupling_inverse_backward(block: CouplingBlock, li: int, record, g_u: np.ndarray,
+                               g_ld: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Reverse pass of one _coupling_inverse_step for the adjoints of u and of
+    the log-det column; stores the block's subnet gradients under 'b{li}.s' /
+    'b{li}.t' and returns the adjoint of v."""
+    h, s_tape, t_tape, s_raw, diff, e = record
+    active, passive = list(block.active), list(block.passive)
+    g_ua = g_u[:, active]
+    g_diff = g_ua * e
+    # exp(-s_eff) feeds back its own value; the log-det sums s_eff per row
+    g_s_eff = g_ld + (g_ua * diff * e) * -1.0
+    g_s_raw = g_s_eff * (block.clamp * (2.0 / math.pi)) / (1.0 + s_raw * s_raw)
+    g_h = _mlp_backward(block.t_params, h, t_tape, g_diff * -1.0, f"b{li}.t", grads)
+    g_h = g_h + _mlp_backward(block.s_params, h, s_tape, g_s_raw, f"b{li}.s", grads)
+    g_v = np.empty_like(g_u)
+    g_v[:, active] = g_diff
+    g_v[:, passive] = g_u[:, passive] + g_h[:, :len(passive)]
+    return g_v
+
+
 def coupling_inverse(block: CouplingBlock, v: np.ndarray, cond: np.ndarray) -> np.ndarray:
     """Exact inverse of coupling_forward."""
     v = np.asarray(v, dtype=np.float64)
     cond = np.asarray(cond, dtype=np.float64)
     if v.shape[0] != cond.shape[0]:
         raise ValueError("v and cond need equal row counts")
-    s_raw, t = _subnet_outputs(block, v[:, list(block.passive)], cond)
-    u_active, _ = backend.coupling_inv(v[:, list(block.active)], s_raw, t, block.clamp)
-    u = v.copy()
-    u[:, list(block.active)] = u_active
-    return u
+    return _coupling_inverse_step(block, v, cond)[0]
 
 
 def flow_forward(
@@ -229,49 +263,27 @@ def flow_sample(model: FlowModel, y: np.ndarray, n_per_row: int, seed: int) -> n
     return x
 
 
-# log-density graph ----------------------------------------------------------------
+# log-density ---------------------------------------------------------------------
 
 
-def _build_nll_graph(model: FlowModel) -> tuple[Graph, dict[str, str]]:
-    """Inverse pass x -> z as a differentiable graph, ending in the per-row
-    conditional log-density and the weighted batch loss."""
-    b = GraphBuilder()
-    x = b.input("x")
-    y = b.input("y")
-    w_row = b.input("w_row")  # (1, batch): per-sample weight / batch size
+def _to_latent(model: FlowModel, blocks: Sequence[CouplingBlock], x: np.ndarray, y: np.ndarray,
+               tape: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse pass x -> z through `blocks` (the model's own, or the same
+    layout with other parameters). Returns z and the per-row log-det of the
+    standardized forward map, summed over blocks n-1 ... 0."""
+    xs = (x + -model.x_shift) * (1.0 / model.x_scale)
+    ys = (y + -model.y_shift) * (1.0 / model.y_scale)
+    cur, log_det = xs, None
+    for li in reversed(range(len(blocks))):
+        u, ld = _coupling_inverse_step(blocks[li], cur, ys, tape)
+        cur = u[:, np.argsort(model.perms[li])]
+        log_det = ld if log_det is None else log_det + ld
+    return cur, log_det
 
-    xs = b.bmul(b.badd(x, b.const(-model.x_shift)), b.const(1.0 / model.x_scale))
-    ys = b.bmul(b.badd(y, b.const(-model.y_shift)), b.const(1.0 / model.y_scale))
 
-    cur = xs
-    logdets: list[str] = []
-    for li in reversed(range(len(model.blocks))):
-        blk = model.blocks[li]
-        v_a = b.cols(cur, blk.active)
-        v_p = b.cols(cur, blk.passive)
-        h = b.concat([v_p, ys]) if blk.passive else ys
-        s_raw = append_mlp_graph(b, blk.s_params.spec, h, f"b{li}.s")
-        t = append_mlp_graph(b, blk.t_params.spec, h, f"b{li}.t")
-        s_eff = b.smul(b.atan(s_raw), blk.clamp * (2.0 / math.pi))
-        u_a = b.mul(b.sub(v_a, t), b.exp(b.smul(s_eff, -1.0)))
-        logdets.append(b.row_sum(s_eff))
-        # merge halves back into natural order, then undo this block's shuffle
-        concat_order = np.array(blk.active + blk.passive)
-        unshuffle = np.argsort(concat_order)
-        inv_perm = np.argsort(np.array(model.perms[li]))
-        cur = b.cols(b.concat([u_a, v_p]), unshuffle[inv_perm])
-    z = cur
-    half_sq = b.smul(b.row_sum(b.mul(z, z)), -0.5)
+def _log_q(model: FlowModel, z: np.ndarray, log_det: np.ndarray) -> np.ndarray:
     norm_const = -0.5 * model.d_x * _LOG_2PI - float(np.log(model.x_scale).sum())
-    log_pz = b.badd(half_sq, b.const([[norm_const]]))
-    total_ld = logdets[0]
-    for ld in logdets[1:]:
-        total_ld = b.add(total_ld, ld)
-    log_q = b.add(log_pz, b.smul(total_ld, -1.0), name="log_q")
-    nll_rows = b.smul(log_q, -1.0, name="nll_rows")
-    loss = b.matmul(w_row, nll_rows, name="loss")
-    names = {"log_q": log_q, "nll_rows": nll_rows, "loss": loss, "z": z}
-    return b.build(), names
+    return ((z * z).sum(axis=1, keepdims=True) * -0.5 + norm_const) - log_det
 
 
 def flow_log_prob(model: FlowModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -282,11 +294,39 @@ def flow_log_prob(model: FlowModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"x shape {x.shape} does not match d_x={model.d_x}")
     if y.ndim != 2 or y.shape[1] != model.d_y or y.shape[0] != x.shape[0]:
         raise ValueError(f"y shape {y.shape} does not match x rows / d_y={model.d_y}")
-    graph, names = model.nll_graph()
-    bindings = model.param_bindings()
-    bindings["x"] = x
-    bindings["y"] = y
-    return evaluate(graph, bindings, [names["log_q"]])[names["log_q"]]
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
+    return _log_q(model, *_to_latent(model, model.blocks, x, y))
+
+
+def value_and_gradients(model: FlowModel, bindings: Mapping[str, np.ndarray]
+                        ) -> tuple[float, dict[str, np.ndarray]]:
+    """Weighted batch NLL, w_row @ -log q(x | y), and its gradient.
+
+    `bindings` holds the subnet parameters (see FlowModel.param_bindings),
+    which replace the model's own, the batch rows "x" and "y", and "w_row",
+    a (1, batch) row of per-sample weight / batch size. Returns the loss and
+    one gradient per parameter name.
+    """
+    blocks = [
+        CouplingBlock(blk.active, blk.passive, blk.clamp,
+                      mlp_from_bindings(f"b{li}.s", blk.s_params.spec, bindings),
+                      mlp_from_bindings(f"b{li}.t", blk.t_params.spec, bindings))
+        for li, blk in enumerate(model.blocks)
+    ]
+    w_row = bindings["w_row"]
+    tape: list = []
+    z, log_det = _to_latent(model, blocks, bindings["x"], bindings["y"], tape)
+    loss = w_row @ -_log_q(model, z, log_det)
+    # d(-log q) is w*z through z*z (one term per factor) and w through each log-det
+    g_ld = w_row.T
+    g = (w_row.T * 0.5) * z
+    g_cur = g + g
+    grads: dict[str, np.ndarray] = {}
+    for li, record in enumerate(reversed(tape)):
+        g_u = g_cur[:, list(model.perms[li])]
+        g_cur = _coupling_inverse_backward(blocks[li], li, record, g_u, g_ld, grads)
+    return float(loss[0, 0]), grads
 
 
 # training -------------------------------------------------------------------------
@@ -302,6 +342,8 @@ class WnllConfig:
     sigma_aug: float = 1e-3  # additive x jitter during training
 
     def __post_init__(self):
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be >= 0")
         if self.sigma_aug < 0:
             raise ValueError("sigma_aug must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
@@ -333,6 +375,8 @@ def train_flow_wnll(
         raise ValueError("empty training set")
     if x.shape[1] != model.d_x or y.shape[1] != model.d_y or y.shape[0] != n:
         raise ValueError("data does not match the model dims")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     if weights is None:
         w = np.ones(n)
     else:
@@ -344,15 +388,7 @@ def train_flow_wnll(
 
     x_shift, x_scale = _standardize_stats(x)
     y_shift, y_scale = _standardize_stats(y)
-    work = replace(
-        model,
-        x_shift=x_shift,
-        x_scale=x_scale,
-        y_shift=y_shift,
-        y_scale=y_scale,
-        _cache={},
-    )
-    graph, names = work.nll_graph()
+    work = replace(model, x_shift=x_shift, x_scale=x_scale, y_shift=y_shift, y_scale=y_scale)
     rng = np.random.default_rng(cfg.seed)
 
     def batch_leaves(idx: np.ndarray) -> dict[str, np.ndarray]:
@@ -363,8 +399,8 @@ def train_flow_wnll(
         return {"x": xb, "y": y[idx], "w_row": (w[idx] / nb).reshape(1, nb)}
 
     trained, trace = fit_minibatch(
-        graph, names["loss"], work.param_bindings(), batch_leaves, n, cfg.epochs,
-        cfg.batch_size, rng, cfg.learning_rate, cfg.weight_decay,
+        lambda bindings: value_and_gradients(work, bindings), work.param_bindings(),
+        batch_leaves, n, cfg.epochs, cfg.batch_size, rng, cfg.learning_rate, cfg.weight_decay,
     )
     new_blocks = tuple(
         replace(
@@ -374,7 +410,7 @@ def train_flow_wnll(
         )
         for li, blk in enumerate(work.blocks)
     )
-    return replace(work, blocks=new_blocks, _cache={}), trace
+    return replace(work, blocks=new_blocks), trace
 
 
 # serialization ---------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Multilayer perceptron regression: forward pass, MSE, Adam, the training loop.
+"""Multilayer perceptron regression: forward and reverse passes, MSE, Adam,
+the training loop.
 
 fit_minibatch is the one minibatch Adam loop; train_regressor and the
-flow's weighted-likelihood fit both run through it.
+flow's weighted-likelihood fit both run through it, each with its own
+value_and_gradients.
 
 The regressors serve two roles: forward surrogates that estimate the mean
 response of a noisy process (their held-out error is the per-sample
@@ -17,7 +19,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import backend
-from .autodiff import Graph, GraphBuilder, value_and_gradients
 
 __all__ = [
     "MlpSpec",
@@ -26,6 +27,7 @@ __all__ = [
     "init_mlp",
     "mlp_forward",
     "mse_loss",
+    "value_and_gradients",
     "FlatAdam",
     "fit_minibatch",
     "train_regressor",
@@ -95,7 +97,12 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator, zero_final: bool = False) 
     return MlpParams(spec, tuple(weights), tuple(biases))
 
 
-def mlp_forward(params: MlpParams, x_batch: np.ndarray) -> np.ndarray:
+def mlp_forward(params: MlpParams, x_batch: np.ndarray, tape: list | None = None) -> np.ndarray:
+    """Network output for a batch of rows.
+
+    With a list for `tape`, appends every layer's output, the input of the
+    reverse pass _mlp_backward.
+    """
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
         raise ValueError(f"x_batch shape {x.shape} does not match input_dim {params.spec.input_dim}")
@@ -112,7 +119,34 @@ def mlp_forward(params: MlpParams, x_batch: np.ndarray) -> np.ndarray:
                 np.maximum(h, 0.0, out=h)
             else:
                 np.tanh(h, out=h)
+        if tape is not None:
+            tape.append(h)
     return h
+
+
+def _mlp_backward(params: MlpParams, x: np.ndarray, tape: Sequence[np.ndarray], g: np.ndarray,
+                  prefix: str, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Reverse pass of mlp_forward(params, x, tape) for the output adjoint g.
+
+    Stores the '{prefix}.w{i}' / '{prefix}.b{i}' gradients in `grads` and
+    returns the adjoint of x.
+    """
+    relu = params.spec.activation == "relu"
+    last = len(params.weights) - 1
+    for li in range(last, -1, -1):
+        y = tape[li]
+        if li == last:
+            d = g
+        elif relu:
+            d = g * (y > 0.0)
+        else:
+            d = y * y
+            np.subtract(1.0, d, out=d)
+            d *= g
+        grads[f"{prefix}.b{li}"] = d.sum(axis=0, keepdims=True)
+        grads[f"{prefix}.w{li}"] = (tape[li - 1] if li else x).T @ d
+        g = d @ params.weights[li].T
+    return g
 
 
 def mse_loss(y_pred: np.ndarray, y_true: np.ndarray) -> tuple[np.ndarray, float]:
@@ -200,21 +234,7 @@ class FlatAdam:
             raise TrainingError(f"non-finite parameters after Adam step {self.step_count}")
 
 
-# graph construction -------------------------------------------------------------
-
-
-def append_mlp_graph(b: GraphBuilder, spec: MlpSpec, x: str, prefix: str) -> str:
-    """Adds an MLP to a graph under construction; returns the output node.
-
-    Parameters are registered as '{prefix}.w{i}' / '{prefix}.b{i}'.
-    """
-    h = x
-    last = len(spec.layer_dims) - 1
-    for li in range(len(spec.layer_dims)):
-        w = b.param(f"{prefix}.w{li}")
-        bias = b.param(f"{prefix}.b{li}")
-        h = b.dense(h, w, bias, spec.activation if li != last else "identity")
-    return h
+# parameter bindings -------------------------------------------------------------
 
 
 def mlp_param_bindings(prefix: str, params: MlpParams) -> dict[str, np.ndarray]:
@@ -232,24 +252,35 @@ def mlp_from_bindings(prefix: str, spec: MlpSpec, bindings: Mapping[str, np.ndar
                      tuple(bindings[f"{prefix}.b{li}"] for li in layers))
 
 
-def _regression_loss_graph(spec: MlpSpec) -> tuple[Graph, str]:
-    b = GraphBuilder()
-    x = b.input("x")
-    y = b.input("y")
-    mean_row = b.input("mean_row")  # (1, batch) of 1/batch entries
-    pred = append_mlp_graph(b, spec, x, "mlp")
-    diff = b.sub(pred, y)
-    rows = b.row_sum(b.mul(diff, diff))
-    loss = b.matmul(mean_row, rows, name="loss")
-    return b.build(), loss
+# regression loss ----------------------------------------------------------------
+
+
+def value_and_gradients(spec: MlpSpec, bindings: Mapping[str, np.ndarray]
+                        ) -> tuple[float, dict[str, np.ndarray]]:
+    """Batch-mean squared error of the MLP bound under 'mlp' and its gradient.
+
+    `bindings` holds the parameters (see mlp_param_bindings), the batch
+    rows "x" and "y", and "mean_row", a (1, batch) row of 1/batch entries.
+    Returns the loss and one gradient per parameter name.
+    """
+    params = mlp_from_bindings("mlp", spec, bindings)
+    x = bindings["x"]
+    mean_row = bindings["mean_row"]
+    tape: list[np.ndarray] = []
+    diff = mlp_forward(params, x, tape) - bindings["y"]
+    loss = mean_row @ (diff * diff).sum(axis=1, keepdims=True)
+    # d(diff*diff) is g*diff + diff*g, one term per factor
+    g = mean_row.T * diff
+    grads: dict[str, np.ndarray] = {}
+    _mlp_backward(params, x, tape, g + g, "mlp", grads)
+    return float(loss[0, 0]), grads
 
 
 # training -----------------------------------------------------------------------
 
 
 def fit_minibatch(
-    graph: Graph,
-    loss_node: str,
+    value_and_grads: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
     params: Mapping[str, np.ndarray],
     batch_leaves: Callable[[np.ndarray], dict[str, np.ndarray]],
     n: int,
@@ -259,13 +290,15 @@ def fit_minibatch(
     learning_rate: float,
     weight_decay: float,
 ) -> tuple[dict[str, np.ndarray], list[float]]:
-    """Minibatch Adam on a batch-mean scalar loss node of `graph`.
+    """Minibatch Adam on a batch-mean scalar loss.
 
-    `params` maps parameter leaves to their initial arrays, which are not
+    `params` maps parameter names to their initial arrays, which are not
     modified. Each epoch draws one rng.permutation(n) and cuts it into
-    batches; batch_leaves(idx) returns the bindings of every other leaf for
-    the rows idx and may draw from rng itself. Returns the trained arrays
-    under the same names and the per-epoch mean loss.
+    batches; batch_leaves(idx) returns the data bindings for the rows idx
+    and may draw from rng itself. value_and_grads(bindings) gets the
+    parameters and the batch in one mapping and returns the loss and one
+    gradient per parameter name. Returns the trained arrays under the same
+    names and the per-epoch mean loss.
     """
     names = list(params)
     opt = FlatAdam([params[nm] for nm in names], learning_rate, weight_decay)
@@ -278,7 +311,7 @@ def fit_minibatch(
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             bindings.update(batch_leaves(idx))
-            loss, grads = value_and_gradients(graph, bindings, loss_node, names)
+            loss, grads = value_and_grads(bindings)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * idx.size
@@ -306,15 +339,17 @@ def train_regressor(
         raise ValueError("training set is empty")
     if x_train.shape[1] != spec.input_dim or y_train.shape[1] != spec.output_dim:
         raise ValueError("training data does not match spec dims")
+    if not (np.isfinite(x_train).all() and np.isfinite(y_train).all()):
+        raise ValueError("training data must be finite")
     rng = np.random.default_rng(seed)
-    graph, loss_node = _regression_loss_graph(spec)
 
     def batch_leaves(idx: np.ndarray) -> dict[str, np.ndarray]:
         return {"x": x_train[idx], "y": y_train[idx],
                 "mean_row": np.full((1, idx.size), 1.0 / idx.size)}
 
     trained, trace = fit_minibatch(
-        graph, loss_node, mlp_param_bindings("mlp", init_mlp(spec, rng)), batch_leaves, n,
+        lambda bindings: value_and_gradients(spec, bindings),
+        mlp_param_bindings("mlp", init_mlp(spec, rng)), batch_leaves, n,
         epochs, batch_size, rng, learning_rate, weight_decay,
     )
     return mlp_from_bindings("mlp", spec, trained), trace

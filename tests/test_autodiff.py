@@ -1,367 +1,230 @@
+"""Reverse-mode gradients of the MLP layers and of the surrogate's MSE loss:
+hand values, finite differences and a plain composite reference.
+
+The flow NLL's reverse pass is checked against finite differences in
+test_flow.py; the MSE gradient of deeper networks in test_neural.py.
+"""
+
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from ridkit.autodiff import (
-    GraphBuilder,
-    GraphError,
-    ShapeMismatch,
-    UnboundLeaf,
-    evaluate,
-    finite_diff_check,
-    gradients,
+from ridkit import flow
+from ridkit.neural import (
+    MlpParams,
+    MlpSpec,
+    _mlp_backward,
+    init_mlp,
+    mlp_forward,
+    mlp_param_bindings,
     value_and_gradients,
 )
 
 
-def test_matmul_identity():
-    b = GraphBuilder()
-    a = b.input("a")
-    i = b.const(np.eye(2))
-    out = b.matmul(a, i)
-    g = b.build()
-    res = evaluate(g, {"a": [[1.0, 2.0], [3.0, 4.0]]})[out]
-    np.testing.assert_array_equal(res, [[1.0, 2.0], [3.0, 4.0]])
+def _params(spec, weights, biases):
+    return MlpParams(spec, tuple(np.asarray(w, dtype=np.float64) for w in weights),
+                     tuple(np.asarray(b, dtype=np.float64) for b in biases))
 
 
-def test_tanh_at_zero():
-    b = GraphBuilder()
-    x = b.input("x")
-    out = b.tanh(x)
-    g = b.build()
-    np.testing.assert_array_equal(evaluate(g, {"x": [[0.0]]})[out], [[0.0]])
+def _random_params(spec, rng):
+    return _params(spec, [rng.standard_normal((i, o)) for i, o in spec.layer_dims],
+                   [rng.standard_normal((1, o)) for _, o in spec.layer_dims])
 
 
-def test_square_then_row_sum():
-    b = GraphBuilder()
-    x = b.input("x")
-    out = b.row_sum(b.mul(x, x))
-    g = b.build()
-    np.testing.assert_array_equal(evaluate(g, {"x": [[3.0]]})[out], [[9.0]])
+def _backward(params, x, g):
+    tape = []
+    mlp_forward(params, x, tape)
+    grads = {}
+    g_x = _mlp_backward(params, x, tape, g, "n", grads)
+    return g_x, grads
 
 
-def test_grad_of_sum_of_squares():
-    b = GraphBuilder()
-    x = b.input("x")
-    out = b.row_sum(b.mul(x, x))
-    g = b.build()
-    grad = gradients(g, {"x": [[3.0]]}, out, ["x"])
-    np.testing.assert_allclose(grad["x"], [[6.0]])
+def _bindings(params, x, y):
+    rows = x.shape[0]
+    return {**mlp_param_bindings("mlp", params), "x": x, "y": y,
+            "mean_row": np.full((1, rows), 1.0 / rows)}
 
 
 def test_grad_matmul_by_hand():
-    b = GraphBuilder()
-    a = b.input("a")
-    w = b.input("w")
-    out = b.row_sum(b.matmul(a, w))
-    g = b.build()
-    grad = gradients(g, {"a": [[1.0, 2.0]], "w": [[1.0], [1.0]]}, out, ["a"])
-    np.testing.assert_allclose(grad["a"], [[1.0, 1.0]])
+    spec = MlpSpec(2, 1)
+    params = _params(spec, [[[1.0], [1.0]]], [[[0.5]]])
+    g_x, grads = _backward(params, np.array([[1.0, 2.0]]), np.array([[1.0]]))
+    np.testing.assert_array_equal(g_x, [[1.0, 1.0]])
+    np.testing.assert_array_equal(grads["n.w0"], [[1.0], [2.0]])
+    np.testing.assert_array_equal(grads["n.b0"], [[1.0]])
 
 
 def test_tanh_grad_at_zero_is_one():
-    b = GraphBuilder()
-    x = b.input("x")
-    out = b.row_sum(b.tanh(x))
-    g = b.build()
-    grad = gradients(g, {"x": [[0.0]]}, out, ["x"])
-    np.testing.assert_allclose(grad["x"], [[1.0]])
+    spec = MlpSpec(2, 2, (2,), "tanh")
+    params = _params(spec, [np.eye(2), np.eye(2)], [np.zeros((1, 2)), np.zeros((1, 2))])
+    g = np.array([[0.25, -3.0]])
+    g_x, _ = _backward(params, np.zeros((1, 2)), g)
+    np.testing.assert_array_equal(g_x, g)
 
 
-def test_finite_diff_quadratic_tight():
-    b = GraphBuilder()
-    x = b.input("x")
-    out = b.row_sum(b.mul(x, x))
-    g = b.build()
-    err = finite_diff_check(g, {"x": [[0.7, -1.3]]}, out, ["x"], h=1e-5)
-    assert err < 1e-6
-
-
-def test_finite_diff_linear_near_exact():
-    b = GraphBuilder()
-    x = b.input("x")
-    w = b.const([[2.0], [3.0]])
-    out = b.matmul(x, w)
-    g = b.build()
-    err = finite_diff_check(g, {"x": [[0.4, -0.9]]}, out, ["x"], h=1e-5)
-    assert err < 1e-9
-
-
-def test_finite_diff_composed_mlp():
-    rng = np.random.default_rng(0)
-    b = GraphBuilder()
-    x = b.input("x")
-    w1 = b.param("w1")
-    b1 = b.param("b1")
-    w2 = b.param("w2")
-    h = b.tanh(b.badd(b.matmul(x, w1), b1))
-    out = b.row_sum(b.matmul(h, w2))
-    g = b.build()
-    bindings = {
-        "x": rng.standard_normal((1, 3)),
-        "w1": rng.standard_normal((3, 5)),
-        "b1": rng.standard_normal((1, 5)),
-        "w2": rng.standard_normal((5, 1)),
-    }
-    err = finite_diff_check(g, bindings, out, ["w1", "b1", "w2", "x"], h=1e-5)
-    assert err < 1e-4
-
-
-@pytest.mark.parametrize("op", ["exp", "log", "atan", "relu", "tanh"])
-def test_finite_diff_each_unary(op):
-    rng = np.random.default_rng(hash(op) % 2**32)
-    b = GraphBuilder()
-    x = b.input("x")
-    node = getattr(b, op)(x)
-    out = b.row_sum(node)
-    g = b.build()
-    base = rng.uniform(0.5, 2.0, size=(1, 4))  # positive, away from relu kink
-    err = finite_diff_check(g, {"x": base}, out, ["x"], h=1e-6)
-    assert err < 1e-4
-
-
-def test_every_primitive_grad_matches_fd_at_random_points():
-    rng = np.random.default_rng(77)
-
-    def lift_positive(a):
-        return np.abs(a) + 0.5
-
-    cases = {
-        "matmul": lambda b, x, y: b.matmul(x, y),
-        "add": lambda b, x, y: b.add(x, y),
-        "badd": lambda b, x, r: b.badd(x, r),
-        "mul": lambda b, x, y: b.mul(x, y),
-        "bmul": lambda b, x, r: b.bmul(x, r),
-        "smul": lambda b, x, _: b.smul(x, -1.7),
-        "tanh": lambda b, x, _: b.tanh(x),
-        "relu": lambda b, x, _: b.relu(x),
-        "exp": lambda b, x, _: b.exp(x),
-        "log": lambda b, x, _: b.log(x),
-        "atan": lambda b, x, _: b.atan(x),
-        "row_sum": lambda b, x, _: b.row_sum(x),
-        "concat": lambda b, x, y: b.concat([x, y]),
-        "cols": lambda b, x, _: b.cols(x, [2, 0]),
-    }
-    for name, build_op in cases.items():
-        worst = 0.0
-        for _ in range(100):
-            b = GraphBuilder()
-            x = b.input("x")
-            y = b.input("y")
-            out = b.row_sum(build_op(b, x, y))
-            if name in ("matmul", "row_sum", "concat", "cols"):
-                out = b.row_sum(b.mul(out, out))  # keep the probe nonlinear
-            g = b.build()
-            xv = rng.standard_normal((1, 3))
-            if name == "log":
-                xv = lift_positive(xv)
-            elif name == "relu":
-                xv = np.where(np.abs(xv) < 1e-3, 0.5, xv)  # stay off the kink
-            yv = rng.standard_normal((3, 2)) if name == "matmul" else (
-                rng.standard_normal((1, 3)))
-            worst = max(worst, finite_diff_check(g, {"x": xv, "y": yv}, out, ["x"], h=1e-6))
-        assert worst < 1e-4, f"{name}: {worst}"
-
-
-def test_evaluate_is_pure():
-    b = GraphBuilder()
-    x = b.input("x")
-    out = b.exp(b.smul(b.tanh(x), 0.3))
-    g = b.build()
-    arr = np.random.default_rng(5).standard_normal((4, 4))
-    r1 = evaluate(g, {"x": arr})[out]
-    r2 = evaluate(g, {"x": arr})[out]
-    np.testing.assert_array_equal(r1, r2)
-
-
-def test_gradient_linearity_over_random_graphs():
-    # grad of (f + g) must equal grad f + grad g
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        b = GraphBuilder()
-        x = b.input("x")
-        f = b.row_sum(b.mul(b.tanh(x), x))
-        gg = b.row_sum(b.exp(b.smul(x, 0.5)))
-        both = b.add(f, gg)
-        graph = b.build()
-        arr = rng.standard_normal((1, 3))
-        gf = gradients(graph, {"x": arr}, f, ["x"])["x"]
-        g2 = gradients(graph, {"x": arr}, gg, ["x"])["x"]
-        gb = gradients(graph, {"x": arr}, both, ["x"])["x"]
-        np.testing.assert_allclose(gb, gf + g2, rtol=1e-12)
-
-
-def test_concat_and_cols_adjoints():
-    rng = np.random.default_rng(3)
-    b = GraphBuilder()
-    x = b.input("x")
-    y = b.input("y")
-    joined = b.concat([x, y])
-    picked = b.cols(joined, [2, 0, 3])
-    out = b.row_sum(b.mul(picked, picked))
-    g = b.build()
-    bindings = {"x": rng.standard_normal((1, 2)), "y": rng.standard_normal((1, 2))}
-    err = finite_diff_check(g, bindings, out, ["x", "y"], h=1e-6)
-    assert err < 1e-6
-
-
-def test_unbound_leaf_raises():
-    b = GraphBuilder()
-    x = b.input("x")
-    y = b.input("y")
-    out = b.add(x, y)
-    g = b.build()
-    with pytest.raises(UnboundLeaf):
-        evaluate(g, {"x": [[1.0]]}, [out])
-
-
-def test_shape_mismatch_reports_node():
-    b = GraphBuilder()
-    x = b.input("x")
-    y = b.input("y")
-    out = b.matmul(x, y, name="bad_matmul")
-    g = b.build()
-    with pytest.raises(ShapeMismatch, match="bad_matmul"):
-        evaluate(g, {"x": [[1.0, 2.0]], "y": [[1.0, 2.0]]}, [out])
-
-
-def test_non_scalar_gradient_output_rejected():
-    b = GraphBuilder()
-    x = b.input("x")
-    out = b.mul(x, x)
-    g = b.build()
-    with pytest.raises(GraphError, match="1, 1"):
-        gradients(g, {"x": [[1.0, 2.0]]}, out, ["x"])
-
-
-def test_gradient_wrt_unused_leaf_is_zero():
-    b = GraphBuilder()
-    x = b.input("x")
-    z = b.input("z")
-    out = b.row_sum(b.mul(x, x))
-    g = b.build()
-    grad = gradients(g, {"x": [[2.0]], "z": [[1.0, 1.0]]}, out, ["z"])
-    np.testing.assert_array_equal(grad["z"], [[0.0, 0.0]])
-
-
-def test_non_finite_binding_rejected():
-    b = GraphBuilder()
-    x = b.input("x")
-    out = b.row_sum(x)
-    g = b.build()
-    with pytest.raises(GraphError, match="non-finite"):
-        evaluate(g, {"x": [[np.nan]]}, [out])
-
-
-def _two_layer(dense: bool, act: str):
-    """x -> act(x @ w0 + b0) -> (. @ w1 + b1) -> scalar, either as fused
-    dense nodes or as the matmul/badd/activation composite."""
-    b = GraphBuilder()
-    h = b.input("x")
-    for li, a in enumerate((act, "identity")):
-        w, bias = b.param(f"w{li}"), b.param(f"b{li}")
-        if dense:
-            h = b.dense(h, w, bias, a)
-        else:
-            h = b.badd(b.matmul(h, w), bias)
-            if a != "identity":
-                h = getattr(b, a)(h)
-    loss = b.matmul(b.input("mean_row"), b.row_sum(b.mul(h, h)))
-    return b.build(), loss
-
-
-def _two_layer_bindings(rng, rows=7):
-    return {
-        "x": rng.standard_normal((rows, 3)),
-        "w0": rng.standard_normal((3, 5)),
-        "b0": rng.standard_normal((1, 5)),
-        "w1": rng.standard_normal((5, 2)),
-        "b1": rng.standard_normal((1, 2)),
-        "mean_row": np.full((1, rows), 1.0 / rows),
-    }
-
-
-_WRT = ["x", "w0", "b0", "w1", "b1"]
+def test_grad_of_sum_of_squares():
+    # loss = (3w + b - 0)^2 at w = 1, b = 0: 9, with d/dw = 18 and d/db = 6
+    params = _params(MlpSpec(1, 1), [[[1.0]]], [[[0.0]]])
+    loss, grads = value_and_gradients(params.spec, _bindings(params, np.array([[3.0]]),
+                                                             np.array([[0.0]])))
+    assert loss == 9.0
+    np.testing.assert_array_equal(grads["mlp.w0"], [[18.0]])
+    np.testing.assert_array_equal(grads["mlp.b0"], [[6.0]])
 
 
 @pytest.mark.parametrize("act", ["identity", "tanh", "relu"])
 def test_dense_finite_diff(act):
+    # one dense layer (identity) or a hidden layer of `act` plus the linear
+    # head; the probe sum(out * out) keeps the reverse pass nonlinear
     rng = np.random.default_rng(11)
-    b = GraphBuilder()
-    x, w, bias = b.input("x"), b.param("w"), b.param("b")
-    h = b.dense(x, w, bias, act)
-    out = b.row_sum(b.mul(h, h))
-    g = b.build()
-    bindings = {"x": rng.standard_normal((1, 3)), "w": rng.standard_normal((3, 4)),
-                "b": rng.standard_normal((1, 4))}
+    spec = MlpSpec(3, 2) if act == "identity" else MlpSpec(3, 2, (4,), act)
+    params = _random_params(spec, rng)
+    x = rng.standard_normal((5, 3))
     if act == "relu":  # keep every pre-activation off the kink
-        pre = bindings["x"] @ bindings["w"] + bindings["b"]
-        bindings["b"] = bindings["b"] + np.where(np.abs(pre) < 1e-2, 0.5, 0.0)
-    err = finite_diff_check(g, bindings, out, ["x", "w", "b"], h=1e-6)
-    assert err < 1e-5
+        pre = x @ params.weights[0] + params.biases[0]
+        params.biases[0][...] += np.where(np.abs(pre) < 1e-2, 0.5, 0.0).max(axis=0)
+
+    def probe():
+        out = mlp_forward(params, x)
+        return float((out * out).sum())
+
+    out = mlp_forward(params, x)
+    g_x, grads = _backward(params, x, out + out)
+    arrays = {"x": (x, g_x), **{
+        f"n.{kind}{li}": (arr, grads[f"n.{kind}{li}"])
+        for li in range(len(spec.layer_dims))
+        for kind, arr in (("w", params.weights[li]), ("b", params.biases[li]))
+    }}
+    h = 1e-6
+    for name, (arr, grad) in arrays.items():
+        assert grad.shape == arr.shape
+        for ij in np.ndindex(arr.shape):
+            orig = arr[ij]
+            arr[ij] = orig + h
+            up = probe()
+            arr[ij] = orig - h
+            down = probe()
+            arr[ij] = orig
+            fd = (up - down) / (2.0 * h)
+            assert abs(grad[ij] - fd) <= 1e-5 * max(abs(fd), 1.0), (name, ij)
+
+
+def _composite_reference(params, x, y, mean_row, act):
+    """The MSE loss and its gradient in plain numpy, one fresh array per
+    operation: h = act(x @ w0 + b0), out = h @ w1 + b1 (or out = x @ w0 + b0)."""
+    w, b = params.weights, params.biases
+    if act == "identity":
+        diff = (x @ w[0] + b[0]) - y
+    else:
+        pre = x @ w[0] + b[0]
+        h = np.tanh(pre) if act == "tanh" else np.maximum(pre, 0.0)
+        diff = (h @ w[1] + b[1]) - y
+    loss = mean_row @ (diff * diff).sum(axis=1, keepdims=True)
+    d_out = 2.0 * (mean_row.T * diff)
+    if act == "identity":
+        return float(loss[0, 0]), {"mlp.w0": x.T @ d_out, "mlp.b0": d_out.sum(axis=0, keepdims=True)}
+    g_h = d_out @ w[1].T
+    d_h = g_h * (1.0 - h * h) if act == "tanh" else g_h * (h > 0.0)
+    return float(loss[0, 0]), {
+        "mlp.w1": h.T @ d_out, "mlp.b1": d_out.sum(axis=0, keepdims=True),
+        "mlp.w0": x.T @ d_h, "mlp.b0": d_h.sum(axis=0, keepdims=True),
+    }
 
 
 @pytest.mark.parametrize("act", ["identity", "tanh", "relu"])
 def test_dense_bitwise_equals_composite(act):
     rng = np.random.default_rng(12)
-    bindings = _two_layer_bindings(rng)
-    (g_dense, out_d), (g_comp, out_c) = _two_layer(True, act), _two_layer(False, act)
-    val_d, grads_d = value_and_gradients(g_dense, bindings, out_d, _WRT)
-    val_c, grads_c = value_and_gradients(g_comp, bindings, out_c, _WRT)
-    assert val_d == val_c
-    for name in _WRT:
-        np.testing.assert_array_equal(grads_d[name], grads_c[name])
+    spec = MlpSpec(3, 2) if act == "identity" else MlpSpec(3, 2, (5,), act)
+    params = _random_params(spec, rng)
+    x, y = rng.standard_normal((7, 3)), rng.standard_normal((7, 2))
+    bindings = _bindings(params, x, y)
+    loss, grads = value_and_gradients(spec, bindings)
+    ref_loss, ref_grads = _composite_reference(params, x, y, bindings["mean_row"], act)
+    assert loss == ref_loss
+    assert sorted(grads) == sorted(ref_grads)
+    for name, ref in ref_grads.items():
+        np.testing.assert_array_equal(grads[name], ref)
 
 
-def test_dense_rejects_unknown_activation_and_bad_shapes():
-    b = GraphBuilder()
-    x, w, bias = b.input("x"), b.param("w"), b.param("b")
-    with pytest.raises(GraphError, match="activation"):
-        b.dense(x, w, bias, "sigmoid")
-    out = b.dense(x, w, bias, name="layer")
-    g = b.build()
-    with pytest.raises(ShapeMismatch, match="layer"):
-        evaluate(g, {"x": np.ones((2, 3)), "w": np.ones((3, 4)), "b": np.ones((1, 3))}, [out])
+def test_gradient_wrt_unused_leaf_is_zero():
+    # hidden relu unit 1 is dead on every row, so nothing flows into its
+    # incoming weights, its bias or its outgoing weight
+    rng = np.random.default_rng(4)
+    spec = MlpSpec(3, 2, (3,), "relu")
+    params = _random_params(spec, rng)
+    params.biases[0][0, 1] = -100.0
+    x, y = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
+    _, grads = value_and_gradients(spec, _bindings(params, x, y))
+    np.testing.assert_array_equal(grads["mlp.w0"][:, 1], 0.0)
+    np.testing.assert_array_equal(grads["mlp.b0"][:, 1], 0.0)
+    np.testing.assert_array_equal(grads["mlp.w1"][1, :], 0.0)
+    assert np.abs(grads["mlp.w0"][:, [0, 2]]).max() > 0.0
 
 
-def test_each_output_gets_its_own_cached_plan():
-    def build():
-        b = GraphBuilder()
-        x = b.input("x")
-        f = b.row_sum(b.mul(b.tanh(x), x))
-        h = b.row_sum(b.exp(b.smul(x, 0.5)))
-        return b.build(), f, h
+def test_gradient_linearity_over_random_graphs():
+    # the reverse pass is linear in the output adjoint
+    rng = np.random.default_rng(42)
+    for trial in range(20):
+        hidden = tuple(int(k) for k in rng.integers(1, 6, size=trial % 3))
+        spec = MlpSpec(3, 2, hidden, ("tanh", "relu")[trial % 2])
+        params = _random_params(spec, rng)
+        x = rng.standard_normal((4, 3))
+        g1, g2 = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        gx1, gr1 = _backward(params, x, g1)
+        gx2, gr2 = _backward(params, x, g2)
+        gxb, grb = _backward(params, x, g1 + g2)
+        np.testing.assert_allclose(gxb, gx1 + gx2, rtol=1e-12, atol=1e-12)
+        for name in grb:
+            np.testing.assert_allclose(grb[name], gr1[name] + gr2[name], rtol=1e-12, atol=1e-12)
 
-    arr = np.random.default_rng(13).standard_normal((1, 3))
-    graph, f, h = build()
-    first = [value_and_gradients(graph, {"x": arr}, out, ["x"]) for out in (f, h, f)]
-    for out, (val, grads) in zip((f, h, f), first):
-        fresh, _, _ = build()
-        ref_val, ref_grads = value_and_gradients(fresh, {"x": arr}, out, ["x"])
-        assert val == ref_val
-        np.testing.assert_array_equal(grads["x"], ref_grads["x"])
-    assert evaluate(graph, {"x": arr}, [h])[h][0, 0] == first[1][0]
-    assert evaluate(graph, {"x": arr}, [f, h])[f][0, 0] == first[0][0]
+
+def test_evaluate_is_pure():
+    rng = np.random.default_rng(5)
+    spec = MlpSpec(3, 2, (6, 4), "tanh")
+    bindings = _bindings(_random_params(spec, rng), rng.standard_normal((8, 3)),
+                         rng.standard_normal((8, 2)))
+    before = {k: v.copy() for k, v in bindings.items()}
+    first = value_and_gradients(spec, bindings)
+    second = value_and_gradients(spec, bindings)
+    for k, v in bindings.items():
+        np.testing.assert_array_equal(v, before[k])
+    assert first[0] == second[0]
+    for name in first[1]:
+        np.testing.assert_array_equal(first[1][name], second[1][name])
+
+    model = flow.build_flow(2, 1, n_blocks=2, hidden=(5,), seed=3)
+    x, y = rng.standard_normal((6, 2)), rng.standard_normal((6, 1))
+    fb = {**model.param_bindings(), "x": x, "y": y, "w_row": np.full((1, 6), 1.0 / 6)}
+    fb_before = {k: v.copy() for k, v in fb.items()}
+    f1, f2 = flow.value_and_gradients(model, fb), flow.value_and_gradients(model, fb)
+    for k, v in fb.items():
+        np.testing.assert_array_equal(v, fb_before[k])
+    assert f1[0] == f2[0]
+    for name in f1[1]:
+        np.testing.assert_array_equal(f1[1][name], f2[1][name])
 
 
 def test_concurrent_value_and_gradients_on_one_graph():
     rng = np.random.default_rng(14)
-    inputs = [_two_layer_bindings(rng, rows=64) for _ in range(4)]
-    serial, out = _two_layer(True, "tanh")
-    expected = [value_and_gradients(serial, bnd, out, _WRT) for bnd in inputs]
-    graph, _ = _two_layer(True, "tanh")  # its plan is first built under contention
+    spec = MlpSpec(3, 2, (5,), "tanh")
+    params = mlp_param_bindings("mlp", init_mlp(spec, rng))
+    inputs = []
+    for _ in range(4):
+        x, y = rng.standard_normal((64, 3)), rng.standard_normal((64, 2))
+        inputs.append({**params, "x": x, "y": y, "mean_row": np.full((1, 64), 1.0 / 64)})
+    expected = [value_and_gradients(spec, bnd) for bnd in inputs]
     jobs = inputs * 25
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(lambda bnd: value_and_gradients(graph, bnd, out, _WRT), jobs))
+            results = list(pool.map(lambda bnd: value_and_gradients(spec, bnd), jobs))
     finally:
         sys.setswitchinterval(old)
     for i, (val, grads) in enumerate(results):
         ref_val, ref_grads = expected[i % len(inputs)]
         assert val == ref_val
-        for name in _WRT:
-            np.testing.assert_array_equal(grads[name], ref_grads[name])
+        for name, ref in ref_grads.items():
+            np.testing.assert_array_equal(grads[name], ref)

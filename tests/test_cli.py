@@ -4,8 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import ridkit.cli
-from ridkit.autodiff import GraphError
 from ridkit.cli import main
 from ridkit.fileio import (
     DATASET_FILE,
@@ -250,14 +248,17 @@ def test_non_finite_weights_file_is_data_error(dataset_dir, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_graph_error_is_data_error(dataset_dir, tmp_path, monkeypatch):
-    def bad_binding(*args, **kwargs):
-        raise GraphError("leaf 'x': non-finite entries in binding")
-
-    monkeypatch.setattr(ridkit.cli, "train_flow_wnll", bad_binding)
+def test_non_finite_dataset_file_is_data_error(dataset_dir, tmp_path, capsys):
+    path = dataset_dir / DATASET_FILE
+    rows = path.read_text().splitlines()
+    row = json.loads(rows[3])
+    row["x"][0] = float("inf")
+    rows[3] = json.dumps(row)
+    path.write_text("\n".join(rows) + "\n")
     code = run("train", "--dataset", dataset_dir, "--blocks", "2", "--hidden", "8",
                "--epochs", "1", "--out", tmp_path / "m")
     assert code == 3
+    assert "finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["subcommand", "pipeline"])
@@ -285,14 +286,26 @@ def model_file(dataset_dir, tmp_path):
     ("generate", "--task", "radian", "--noise", "n_x", "--n", "5", "--x-sigma", "-1"),
     ("train", "--dataset", "{data}", "--epochs", "0"),
     ("train", "--dataset", "{data}", "--blocks", "0"),
+    ("train", "--dataset", "{data}", "--lr", "-1"),
     ("weights", "--dataset", "{data}", "--k", "1"),
     ("weights", "--dataset", "{data}", "--epochs", "0"),
     ("weights", "--dataset", "{data}", "--batch-size", "0"),
     ("eval", "--model", "{model}", "--task", "radian", "--n-targets", "0"),
     ("sample", "--model", "{model}", "--targets", "{data}", "--n-per-target", "0"),
-], ids=["generate-x-sigma", "train-epochs", "train-blocks", "weights-k", "weights-epochs", "weights-batch-size",
+], ids=["generate-x-sigma", "train-epochs", "train-blocks", "train-lr", "weights-k", "weights-epochs", "weights-batch-size",
         "eval-n-targets", "sample-n-per-target"])
 def test_out_of_range_flag_is_usage_error(dataset_dir, model_file, tmp_path, capsys, argv):
     argv = [a.format(data=dataset_dir, model=model_file) for a in argv]
     assert run(*argv, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field", [{"n": "abc"}, {"hidden": 8}, {"task": "nope"}],
+                         ids=["n-not-int", "hidden-not-list", "unknown-task"])
+def test_pipeline_bad_runconfig_field_is_usage_error(tmp_path, capsys, field):
+    out = tmp_path / "p"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "radian", "out": str(out), **field}))
+    assert run("pipeline", "--config", cfg) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()  # rejected before any stage ran

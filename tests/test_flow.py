@@ -16,6 +16,7 @@ from ridkit.flow import (
     flow_sample,
     flow_to_jsonable,
     train_flow_wnll,
+    value_and_gradients,
 )
 from ridkit.neural import MlpParams, TrainingError, init_mlp, mlp_forward
 
@@ -31,7 +32,7 @@ def _randomized(model, seed):
         )
         for blk in model.blocks
     )
-    return replace(model, blocks=blocks, _cache={})
+    return replace(model, blocks=blocks)
 
 
 def test_identity_init_block_is_identity():
@@ -131,6 +132,56 @@ def test_change_of_variables_consistency():
     lp = flow_log_prob(model, x, y)
     expected = -0.5 * 3 * math.log(2.0 * math.pi) - 0.5 * (z**2).sum(1, keepdims=True) - ld
     assert np.abs(lp - expected).max() < 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_log_prob_and_wnll_reject_non_finite_data(where, bad):
+    model = build_flow(2, 1, n_blocks=2, hidden=(4,), seed=0)
+    data = {"x": np.zeros((6, 2)), "y": np.zeros((6, 1))}
+    data[where][2, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        flow_log_prob(model, data["x"], data["y"])
+    with pytest.raises(ValueError, match="finite"):
+        train_flow_wnll(model, data["x"], data["y"], None, WnllConfig(epochs=1))
+
+
+@pytest.mark.parametrize("d_x", [1, 2, 3])
+def test_value_and_gradients_match_finite_differences(d_x):
+    # d_x=1 has blocks with an empty passive half
+    rng = np.random.default_rng(30 + d_x)
+    model = _randomized(build_flow(d_x, 2, n_blocks=3, hidden=(5,), seed=d_x), seed=d_x)
+    model = replace(
+        model,
+        x_shift=rng.standard_normal((1, d_x)),
+        x_scale=rng.uniform(0.5, 2.0, (1, d_x)),
+        y_shift=rng.standard_normal((1, 2)),
+        y_scale=rng.uniform(0.5, 2.0, (1, 2)),
+    )
+    x = rng.standard_normal((7, d_x))
+    y = rng.standard_normal((7, 2))
+    w_row = rng.uniform(0.2, 3.0, (1, 7)) / 7
+    bindings = {**model.param_bindings(), "x": x, "y": y, "w_row": w_row}
+
+    def loss_of_model():
+        return (w_row @ -flow_log_prob(model, x, y))[0, 0]
+
+    loss, grads = value_and_gradients(model, bindings)
+    assert loss == pytest.approx(loss_of_model(), rel=1e-12)
+    assert sorted(grads) == sorted(model.param_bindings())
+    h = 1e-6
+    for name, grad in grads.items():
+        arr = bindings[name]  # the array the model holds, perturbed in place
+        assert grad.shape == arr.shape
+        for ij in np.ndindex(arr.shape):
+            orig = arr[ij]
+            arr[ij] = orig + h
+            up = loss_of_model()
+            arr[ij] = orig - h
+            down = loss_of_model()
+            arr[ij] = orig
+            fd = (up - down) / (2.0 * h)
+            assert abs(grad[ij] - fd) <= 1e-6 * max(abs(fd), 1.0), (name, ij)
 
 
 def test_clamp_bounds_every_log_scale():
@@ -245,7 +296,6 @@ def test_flow_serialization_round_trip():
         x_scale=np.array([[1.5, 0.7, 2.0]]),
         y_shift=np.array([[0.5, 0.0]]),
         y_scale=np.array([[2.0, 0.4]]),
-        _cache={},
     )
     back = flow_from_jsonable(flow_to_jsonable(model))
     rng = np.random.default_rng(19)

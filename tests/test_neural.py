@@ -9,9 +9,11 @@ from ridkit.neural import (
     init_mlp,
     mlp_forward,
     mlp_from_jsonable,
+    mlp_param_bindings,
     mlp_to_jsonable,
     mse_loss,
     train_regressor,
+    value_and_gradients,
 )
 
 
@@ -165,6 +167,44 @@ def test_train_regressor_reproducible():
 def test_train_regressor_empty_raises():
     with pytest.raises(ValueError):
         train_regressor(MlpSpec(1, 1), (np.zeros((0, 1)), np.zeros((0, 1))), 1, 8, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_train_regressor_rejects_non_finite_data(where, bad):
+    data = {"x": np.zeros((10, 2)), "y": np.zeros((10, 1))}
+    data[where][3, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        train_regressor(MlpSpec(2, 1, (4,)), (data["x"], data["y"]), 1, 8, 0)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_value_and_gradients_match_finite_differences(activation):
+    rng = np.random.default_rng(23)
+    spec = MlpSpec(3, 2, (6, 5), activation)
+    params = init_mlp(spec, rng)
+    params = MlpParams(spec, params.weights,
+                       tuple(rng.standard_normal(b.shape) for b in params.biases))
+    x = rng.standard_normal((9, 3))
+    y = rng.standard_normal((9, 2))
+    bindings = {**mlp_param_bindings("mlp", params), "x": x, "y": y,
+                "mean_row": np.full((1, 9), 1.0 / 9)}
+    loss, grads = value_and_gradients(spec, bindings)
+    assert loss == pytest.approx(mse_loss(mlp_forward(params, x), y)[1], rel=1e-12)
+    assert sorted(grads) == sorted(mlp_param_bindings("mlp", params))
+    h = 1e-6
+    for name, grad in grads.items():
+        arr = bindings[name]  # the array params holds, perturbed in place
+        assert grad.shape == arr.shape
+        for ij in np.ndindex(arr.shape):
+            orig = arr[ij]
+            arr[ij] = orig + h
+            up = mse_loss(mlp_forward(params, x), y)[1]
+            arr[ij] = orig - h
+            down = mse_loss(mlp_forward(params, x), y)[1]
+            arr[ij] = orig
+            fd = (up - down) / (2.0 * h)
+            assert abs(grad[ij] - fd) <= 1e-6 * max(abs(fd), 1.0), (name, ij)
 
 
 def test_mlp_spec_validation():
