@@ -25,6 +25,7 @@ from .fileio import (
     TRACE_FILE,
     WEIGHTS_FILE,
     DataError,
+    dataset_path,
     read_dataset,
     read_json,
     read_targets,
@@ -103,7 +104,7 @@ def cmd_weights(args) -> int:
     dataset = read_dataset(Path(args.dataset))
     r = estimate_sample_robustness(dataset, cfg, threads=args.threads)
     w = robustness_to_weights(r, cfg.tau, cfg.eps)
-    write_weights(_out_dir(args) / WEIGHTS_FILE, w, cfg)
+    write_weights(_out_dir(args) / WEIGHTS_FILE, w, cfg, sha256_of(dataset_path(args.dataset)))
     print(f"min={w.w.min():.6f} mean={w.w.mean():.6f} max={w.w.max():.6f}")
     return EXIT_OK
 
@@ -120,7 +121,11 @@ def cmd_train(args) -> int:
     dataset = read_dataset(Path(args.dataset))
     weights = None
     if args.weights is not None:
-        weights, _ = read_weights(Path(args.weights))
+        weights, _, source_sha256 = read_weights(Path(args.weights))
+        data_path = dataset_path(args.dataset)
+        if source_sha256 != sha256_of(data_path):
+            raise DataError(f"{args.weights} was computed from the dataset with sha256 "
+                            f"{source_sha256}, not from {data_path}")
         if weights.shape[0] != dataset.n:
             raise DataError(
                 f"{weights.shape[0]} weights do not align with {dataset.n} dataset rows"
@@ -180,7 +185,7 @@ def cmd_sample(args) -> int:
             "n_targets": int(targets.shape[0]),
             "n_per_target": k,
             "seed": args.seed,
-            "model": str(args.model),
+            "model_sha256": sha256_of(Path(args.model)),
         },
     )
     print(f"targets={targets.shape[0]} samples_per_target={k}")

@@ -40,18 +40,16 @@ __all__ = [
 class EvalConfig:
     n_targets: int = 512
     samples_per_target: int = 16
-    mc_draws: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_targets, self.samples_per_target, self.mc_draws) < 1:
+        if min(self.n_targets, self.samples_per_target) < 1:
             raise ValueError("all evaluation counts must be >= 1")
 
     def to_jsonable(self) -> dict:
         return {
             "n_targets": self.n_targets,
             "samples_per_target": self.samples_per_target,
-            "mc_draws": self.mc_draws,
             "seed": self.seed,
         }
 
@@ -68,8 +66,8 @@ class EvalReport:
     wall_clock_seconds: float = 0.0
     comparison: dict | None = None
 
-    def to_jsonable(self, include_timing: bool = False) -> dict:
-        # timing is excluded by default so identical reruns stay byte-identical
+    def to_jsonable(self) -> dict:
+        # wall_clock_seconds stays out so identical reruns stay byte-identical
         doc = {
             "format_version": 1,
             "kind": "eval-report",
@@ -83,8 +81,6 @@ class EvalReport:
         }
         if self.comparison is not None:
             doc["comparison"] = self.comparison
-        if include_timing:
-            doc["wall_clock_seconds"] = self.wall_clock_seconds
         return doc
 
 

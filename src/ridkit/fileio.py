@@ -29,6 +29,7 @@ __all__ = [
     "write_json",
     "read_json",
     "sha256_of",
+    "dataset_path",
     "write_dataset",
     "read_dataset",
     "read_targets",
@@ -46,7 +47,7 @@ SAMPLES_META_FILE = "samples.meta.json"
 REPORT_FILE = "report.json"
 
 DATASET_FORMAT_VERSION = 1
-WEIGHTS_FORMAT_VERSION = 1
+WEIGHTS_FORMAT_VERSION = 2
 
 
 class DataError(Exception):
@@ -110,22 +111,33 @@ def write_dataset(out_dir: Path, dataset: Dataset) -> Path:
     return data_path
 
 
+def dataset_path(path: Path) -> Path:
+    """The jsonl file `path` names: the file itself, or the dataset.jsonl of
+    the directory it names."""
+    path = Path(path)
+    return path / DATASET_FILE if path.is_dir() else path
+
+
 def read_dataset(path: Path) -> Dataset:
     """Reads a dataset.jsonl plus its sidecar meta file.
 
     `path` may be the jsonl file or the directory holding the fixed pair.
     """
-    path = Path(path)
-    data_path = path / DATASET_FILE if path.is_dir() else path
+    data_path = dataset_path(path)
     meta_path = data_path.parent / DATASET_META_FILE
     meta = read_json(meta_path)
-    if meta.get("format_version") != DATASET_FORMAT_VERSION:
-        raise DataError(f"unsupported dataset format_version {meta.get('format_version')}")
-    task = make_task(meta["task"]["name"])
-    nz = meta["noise"]
-    noise = NoiseSpec(
-        mode=nz["mode"], x_sigma=nz["x_sigma"], y_sigma=nz["y_sigma"], seed=nz["seed"]
-    )
+    version = meta.get("format_version") if isinstance(meta, dict) else None
+    if version != DATASET_FORMAT_VERSION:
+        raise DataError(f"unsupported dataset format_version {version}")
+    try:
+        task = make_task(meta["task"]["name"])
+        nz = meta["noise"]
+        noise = NoiseSpec(
+            mode=nz["mode"], x_sigma=nz["x_sigma"], y_sigma=nz["y_sigma"], seed=nz["seed"]
+        )
+        n, seed = meta["n"], meta["seed"]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"malformed dataset meta {meta_path}: missing or ill-typed {exc}") from exc
     xs, ys = [], []
     try:
         lines = data_path.read_text().splitlines()
@@ -138,21 +150,20 @@ def read_dataset(path: Path) -> Dataset:
             ys.append(row["y"])
         except (json.JSONDecodeError, KeyError) as exc:
             raise DataError(f"{data_path}: bad row at line {ln + 1}") from exc
-    if len(xs) != meta["n"]:
-        raise DataError(f"{data_path}: {len(xs)} rows but meta says {meta['n']}")
+    if len(xs) != n:
+        raise DataError(f"{data_path}: {len(xs)} rows but meta says {n}")
     return Dataset(
         x=np.asarray(xs, dtype=np.float64),
         y=np.asarray(ys, dtype=np.float64),
         task=task,
         noise=noise,
-        seed=meta["seed"],
+        seed=seed,
     )
 
 
 def read_targets(path: Path, d_y: int) -> np.ndarray:
     """Loads conditioning targets from any jsonl whose rows carry a 'y'."""
-    path = Path(path)
-    data_path = path / DATASET_FILE if path.is_dir() else path
+    data_path = dataset_path(path)
     ys = []
     try:
         lines = data_path.read_text().splitlines()
@@ -168,30 +179,38 @@ def read_targets(path: Path, d_y: int) -> np.ndarray:
         targets = targets.reshape(-1, 1)
     if targets.shape[1] != d_y:
         raise DataError(f"targets have {targets.shape[1]} response dims, expected {d_y}")
+    if not np.isfinite(targets).all():
+        raise DataError(f"{data_path}: targets must be finite")
     return targets
 
 
-def write_weights(path: Path, weights: WeightVector, cfg: WeightConfig) -> None:
+def write_weights(path: Path, weights: WeightVector, cfg: WeightConfig,
+                  dataset_sha256: str) -> None:
+    """Writes the weights with the sha256 of the dataset file they score."""
     write_json(
         Path(path),
         {
             "format_version": WEIGHTS_FORMAT_VERSION,
             "kind": "sample-weights",
+            "dataset_sha256": dataset_sha256,
             "config": cfg.to_jsonable(),
             "weights": weights.w.tolist(),
         },
     )
 
 
-def read_weights(path: Path) -> tuple[np.ndarray, WeightConfig]:
+def read_weights(path: Path) -> tuple[np.ndarray, WeightConfig, str]:
+    """The weights, their config and the sha256 of the dataset they score."""
     doc = read_json(Path(path))
-    if doc.get("format_version") != WEIGHTS_FORMAT_VERSION:
-        raise DataError(f"unsupported weights format_version {doc.get('format_version')}")
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != WEIGHTS_FORMAT_VERSION:
+        raise DataError(f"unsupported weights format_version {version}")
     try:
         w = np.asarray(doc["weights"], dtype=np.float64)
         cfg = WeightConfig.from_jsonable(doc["config"])
+        dataset_sha256 = doc["dataset_sha256"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed weights file {path}: {exc}") from exc
     if not np.isfinite(w).all():
         raise DataError(f"weights file {path} has non-finite weights")
-    return w, cfg
+    return w, cfg, dataset_sha256

@@ -10,6 +10,7 @@ log-likelihood, which is how non-robust samples get suppressed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -24,9 +25,7 @@ from .neural import (
     fit_minibatch,
     init_mlp,
     mlp_forward,
-    mlp_from_bindings,
     mlp_from_jsonable,
-    mlp_param_bindings,
     mlp_to_jsonable,
 )
 
@@ -93,12 +92,23 @@ class FlowModel:
             if sorted(p) != list(range(self.d_x)):
                 raise ValueError(f"{p} is not a permutation of 0..{self.d_x - 1}")
 
-    def param_bindings(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for li, blk in enumerate(self.blocks):
-            out.update(mlp_param_bindings(f"b{li}.s", blk.s_params))
-            out.update(mlp_param_bindings(f"b{li}.t", blk.t_params))
-        return out
+    def arrays(self) -> list[np.ndarray]:
+        """The subnet arrays in training order: each block's s arrays, then
+        its t arrays (see MlpParams.arrays)."""
+        return [a for blk in self.blocks
+                for params in (blk.s_params, blk.t_params) for a in params.arrays()]
+
+    def with_arrays(self, arrays: Sequence[np.ndarray]) -> FlowModel:
+        """Inverse of arrays(): the same flow, standardization included,
+        over the given subnet arrays."""
+        rest = iter(arrays)
+
+        def take(params: MlpParams) -> MlpParams:
+            return params.with_arrays(list(itertools.islice(rest, 2 * len(params.weights))))
+
+        return replace(self, blocks=tuple(
+            replace(blk, s_params=take(blk.s_params), t_params=take(blk.t_params))
+            for blk in self.blocks))
 
 
 def _checkerboard(d_x: int, parity: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -177,17 +187,20 @@ def coupling_forward(
 
 
 def _coupling_inverse_step(
-    block: CouplingBlock, v: np.ndarray, cond: np.ndarray, tape: list | None = None
+    block: CouplingBlock, v: np.ndarray, cond: np.ndarray, record: list | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of coupling_forward on float64 rows: u = (v - t) * exp(-s) on
     the active half. Returns (u, per-row log-det column of the forward map).
 
-    With a list for `tape`, appends what _coupling_inverse_backward reads.
+    With a list for `record`, fills it with what _coupling_inverse_backward
+    reads, reusing the subnet tapes of an earlier fill (see mlp_forward).
     """
     active, passive = list(block.active), list(block.passive)
     v_p = v[:, passive]
     h = np.concatenate([v_p, cond], axis=1) if passive else cond
-    s_tape, t_tape = ([], []) if tape is not None else (None, None)
+    s_tape = t_tape = None
+    if record is not None:
+        s_tape, t_tape = (record[1], record[2]) if record else ([], [])
     s_raw = mlp_forward(block.s_params, h, s_tape)
     t = mlp_forward(block.t_params, h, t_tape)
     s_eff = backend.softclamp(s_raw, block.clamp)
@@ -195,16 +208,16 @@ def _coupling_inverse_step(
     diff = v[:, active] - t
     u = v.copy()
     u[:, active] = diff * e
-    if tape is not None:
-        tape.append((h, s_tape, t_tape, s_raw, diff, e))
+    if record is not None:
+        record[:] = (h, s_tape, t_tape, s_raw, diff, e)
     return u, s_eff.sum(axis=1, keepdims=True)
 
 
-def _coupling_inverse_backward(block: CouplingBlock, li: int, record, g_u: np.ndarray,
-                               g_ld: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+def _coupling_inverse_backward(block: CouplingBlock, record, g_u: np.ndarray, g_ld: np.ndarray,
+                               grads: CouplingBlock) -> np.ndarray:
     """Reverse pass of one _coupling_inverse_step for the adjoints of u and of
-    the log-det column; stores the block's subnet gradients under 'b{li}.s' /
-    'b{li}.t' and returns the adjoint of v."""
+    the log-det column; writes the subnet gradients into the s_params and
+    t_params arrays of `grads` and returns the adjoint of v."""
     h, s_tape, t_tape, s_raw, diff, e = record
     active, passive = list(block.active), list(block.passive)
     g_ua = g_u[:, active]
@@ -212,8 +225,8 @@ def _coupling_inverse_backward(block: CouplingBlock, li: int, record, g_u: np.nd
     # exp(-s_eff) feeds back its own value; the log-det sums s_eff per row
     g_s_eff = g_ld + (g_ua * diff * e) * -1.0
     g_s_raw = g_s_eff * (block.clamp * (2.0 / math.pi)) / (1.0 + s_raw * s_raw)
-    g_h = _mlp_backward(block.t_params, h, t_tape, g_diff * -1.0, f"b{li}.t", grads)
-    g_h = g_h + _mlp_backward(block.s_params, h, s_tape, g_s_raw, f"b{li}.s", grads)
+    g_h = _mlp_backward(block.t_params, h, t_tape, g_diff * -1.0, grads.t_params)
+    g_h = g_h + _mlp_backward(block.s_params, h, s_tape, g_s_raw, grads.s_params)
     g_v = np.empty_like(g_u)
     g_v[:, active] = g_diff
     g_v[:, passive] = g_u[:, passive] + g_h[:, :len(passive)]
@@ -266,16 +279,22 @@ def flow_sample(model: FlowModel, y: np.ndarray, n_per_row: int, seed: int) -> n
 # log-density ---------------------------------------------------------------------
 
 
-def _to_latent(model: FlowModel, blocks: Sequence[CouplingBlock], x: np.ndarray, y: np.ndarray,
+def _to_latent(model: FlowModel, x: np.ndarray, y: np.ndarray,
                tape: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse pass x -> z through `blocks` (the model's own, or the same
-    layout with other parameters). Returns z and the per-row log-det of the
-    standardized forward map, summed over blocks n-1 ... 0."""
+    """Inverse pass x -> z. Returns z and the per-row log-det of the
+    standardized forward map, summed over blocks n-1 ... 0.
+
+    With a list for `tape`, its k-th entry becomes the record of the k-th
+    block inverted (block n-1-k); entries from an earlier call are reused.
+    """
     xs = (x + -model.x_shift) * (1.0 / model.x_scale)
     ys = (y + -model.y_shift) * (1.0 / model.y_scale)
     cur, log_det = xs, None
-    for li in reversed(range(len(blocks))):
-        u, ld = _coupling_inverse_step(blocks[li], cur, ys, tape)
+    for k, li in enumerate(reversed(range(len(model.blocks)))):
+        if tape is not None and k == len(tape):
+            tape.append([])
+        record = None if tape is None else tape[k]
+        u, ld = _coupling_inverse_step(model.blocks[li], cur, ys, record)
         cur = u[:, np.argsort(model.perms[li])]
         log_det = ld if log_det is None else log_det + ld
     return cur, log_det
@@ -296,37 +315,32 @@ def flow_log_prob(model: FlowModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"y shape {y.shape} does not match x rows / d_y={model.d_y}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("x and y must be finite")
-    return _log_q(model, *_to_latent(model, model.blocks, x, y))
+    return _log_q(model, *_to_latent(model, x, y))
 
 
-def value_and_gradients(model: FlowModel, bindings: Mapping[str, np.ndarray]
-                        ) -> tuple[float, dict[str, np.ndarray]]:
+def value_and_gradients(model: FlowModel, batch: Mapping[str, np.ndarray],
+                        grads: FlowModel, tape: list | None = None) -> float:
     """Weighted batch NLL, w_row @ -log q(x | y), and its gradient.
 
-    `bindings` holds the subnet parameters (see FlowModel.param_bindings),
-    which replace the model's own, the batch rows "x" and "y", and "w_row",
-    a (1, batch) row of per-sample weight / batch size. Returns the loss and
-    one gradient per parameter name.
+    `batch` holds the rows "x" and "y" and "w_row", a (1, batch) row of
+    per-sample weight / batch size. Writes the gradient of every subnet
+    array into the matching array of `grads` and returns the loss. `tape`
+    may carry the block records of an earlier call for reuse (see
+    _to_latent).
     """
-    blocks = [
-        CouplingBlock(blk.active, blk.passive, blk.clamp,
-                      mlp_from_bindings(f"b{li}.s", blk.s_params.spec, bindings),
-                      mlp_from_bindings(f"b{li}.t", blk.t_params.spec, bindings))
-        for li, blk in enumerate(model.blocks)
-    ]
-    w_row = bindings["w_row"]
-    tape: list = []
-    z, log_det = _to_latent(model, blocks, bindings["x"], bindings["y"], tape)
+    w_row = batch["w_row"]
+    if tape is None:
+        tape = []
+    z, log_det = _to_latent(model, batch["x"], batch["y"], tape)
     loss = w_row @ -_log_q(model, z, log_det)
     # d(-log q) is w*z through z*z (one term per factor) and w through each log-det
     g_ld = w_row.T
     g = (w_row.T * 0.5) * z
     g_cur = g + g
-    grads: dict[str, np.ndarray] = {}
     for li, record in enumerate(reversed(tape)):
         g_u = g_cur[:, list(model.perms[li])]
-        g_cur = _coupling_inverse_backward(blocks[li], li, record, g_u, g_ld, grads)
-    return float(loss[0, 0]), grads
+        g_cur = _coupling_inverse_backward(model.blocks[li], record, g_u, g_ld, grads.blocks[li])
+    return float(loss[0, 0])
 
 
 # training -------------------------------------------------------------------------
@@ -391,26 +405,15 @@ def train_flow_wnll(
     work = replace(model, x_shift=x_shift, x_scale=x_scale, y_shift=y_shift, y_scale=y_scale)
     rng = np.random.default_rng(cfg.seed)
 
-    def batch_leaves(idx: np.ndarray) -> dict[str, np.ndarray]:
+    def batch(idx: np.ndarray) -> dict[str, np.ndarray]:
         nb = idx.size
         xb = x[idx]
         if cfg.sigma_aug > 0:
             xb = xb + cfg.sigma_aug * rng.standard_normal(xb.shape)
         return {"x": xb, "y": y[idx], "w_row": (w[idx] / nb).reshape(1, nb)}
 
-    trained, trace = fit_minibatch(
-        lambda bindings: value_and_gradients(work, bindings), work.param_bindings(),
-        batch_leaves, n, cfg.epochs, cfg.batch_size, rng, cfg.learning_rate, cfg.weight_decay,
-    )
-    new_blocks = tuple(
-        replace(
-            blk,
-            s_params=mlp_from_bindings(f"b{li}.s", blk.s_params.spec, trained),
-            t_params=mlp_from_bindings(f"b{li}.t", blk.t_params.spec, trained),
-        )
-        for li, blk in enumerate(work.blocks)
-    )
-    return replace(work, blocks=new_blocks), trace
+    return fit_minibatch(value_and_gradients, work, batch, n, cfg.epochs, cfg.batch_size,
+                         rng, cfg.learning_rate, cfg.weight_decay)
 
 
 # serialization ---------------------------------------------------------------------
@@ -439,32 +442,41 @@ def flow_to_jsonable(model: FlowModel) -> dict:
 
 
 def flow_from_jsonable(doc: dict) -> FlowModel:
+    """Inverse of flow_to_jsonable. Raises ValueError for a document that is
+    not a coupling-flow model or misses or mistypes one of its fields."""
+    if not isinstance(doc, dict) or doc.get("kind") != "coupling-flow":
+        raise ValueError("not a coupling-flow model document")
     if doc.get("format_version") != FLOW_FORMAT_VERSION:
         raise ValueError(f"unsupported flow format_version {doc.get('format_version')}")
-    d_x, d_y = int(doc["d_x"]), int(doc["d_y"])
-    clamp = float(doc["clamp"])
-    blocks = []
-    for mask, nets in zip(doc["masks"], doc["subnets"]):
-        active = tuple(int(i) for i in mask)
-        passive = tuple(i for i in range(d_x) if i not in active)
-        blocks.append(
-            CouplingBlock(
-                active=active,
-                passive=passive,
-                clamp=clamp,
-                s_params=mlp_from_jsonable(nets["s"]),
-                t_params=mlp_from_jsonable(nets["t"]),
+    try:
+        d_x, d_y = int(doc["d_x"]), int(doc["d_y"])
+        clamp = float(doc["clamp"])
+        blocks = []
+        for mask, nets in zip(doc["masks"], doc["subnets"]):
+            active = tuple(int(i) for i in mask)
+            passive = tuple(i for i in range(d_x) if i not in active)
+            blocks.append(
+                CouplingBlock(
+                    active=active,
+                    passive=passive,
+                    clamp=clamp,
+                    s_params=mlp_from_jsonable(nets["s"]),
+                    t_params=mlp_from_jsonable(nets["t"]),
+                )
             )
+
+        def row(key, d):
+            return np.asarray(doc[key], dtype=np.float64).reshape(1, d)
+
+        return FlowModel(
+            d_x=d_x,
+            d_y=d_y,
+            blocks=tuple(blocks),
+            perms=tuple(tuple(int(i) for i in p) for p in doc["permutations"]),
+            x_shift=row("x_shift", d_x),
+            x_scale=row("x_scale", d_x),
+            y_shift=row("y_shift", d_y),
+            y_scale=row("y_scale", d_y),
         )
-    def row(key, d):
-        return np.asarray(doc[key], dtype=np.float64).reshape(1, d)
-    return FlowModel(
-        d_x=d_x,
-        d_y=d_y,
-        blocks=tuple(blocks),
-        perms=tuple(tuple(int(i) for i in p) for p in doc["permutations"]),
-        x_shift=row("x_shift", d_x),
-        x_scale=row("x_scale", d_x),
-        y_shift=row("y_shift", d_y),
-        y_scale=row("y_scale", d_y),
-    )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed coupling-flow model: missing or ill-typed {exc}") from exc

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -78,6 +78,14 @@ class MlpParams:
                     f"layer shapes {w.shape}/{b.shape} do not chain for ({din}, {dout})"
                 )
 
+    def arrays(self) -> list[np.ndarray]:
+        """The parameter arrays in training order: [w0, b0, w1, b1, ...]."""
+        return [a for layer in zip(self.weights, self.biases) for a in layer]
+
+    def with_arrays(self, arrays: Sequence[np.ndarray]) -> MlpParams:
+        """Inverse of arrays(): the same network over the given arrays."""
+        return MlpParams(self.spec, tuple(arrays[0::2]), tuple(arrays[1::2]))
+
 
 def init_mlp(spec: MlpSpec, rng: np.random.Generator, zero_final: bool = False) -> MlpParams:
     """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases.
@@ -100,8 +108,10 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator, zero_final: bool = False) 
 def mlp_forward(params: MlpParams, x_batch: np.ndarray, tape: list | None = None) -> np.ndarray:
     """Network output for a batch of rows.
 
-    With a list for `tape`, appends every layer's output, the input of the
-    reverse pass _mlp_backward.
+    With a list for `tape`, records every layer's output in it, the input of
+    the reverse pass _mlp_backward. A layer output already in the list with
+    the right shape is rewritten in place, so a training loop that passes
+    the same list every step keeps its activations in the same buffers.
     """
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
@@ -109,27 +119,30 @@ def mlp_forward(params: MlpParams, x_batch: np.ndarray, tape: list | None = None
     relu = params.spec.activation == "relu"
     h = x
     last = len(params.weights) - 1
-    # one fresh array per layer, updated in place: large batches then reuse
-    # the allocator's blocks instead of faulting in new pages per temporary
+    # one array per layer, fresh or the tape's own, updated in place: large
+    # batches then reuse memory instead of faulting in new pages per temporary
     for li, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w
+        if tape is not None and li < len(tape) and tape[li].shape == (h.shape[0], w.shape[1]):
+            h = np.matmul(h, w, out=tape[li])
+        else:
+            h = h @ w
+            if tape is not None:
+                tape[li:li + 1] = [h]
         h += b
         if li != last:
             if relu:
                 np.maximum(h, 0.0, out=h)
             else:
                 np.tanh(h, out=h)
-        if tape is not None:
-            tape.append(h)
     return h
 
 
 def _mlp_backward(params: MlpParams, x: np.ndarray, tape: Sequence[np.ndarray], g: np.ndarray,
-                  prefix: str, grads: dict[str, np.ndarray]) -> np.ndarray:
+                  grads: MlpParams) -> np.ndarray:
     """Reverse pass of mlp_forward(params, x, tape) for the output adjoint g.
 
-    Stores the '{prefix}.w{i}' / '{prefix}.b{i}' gradients in `grads` and
-    returns the adjoint of x.
+    Writes each layer's weight and bias gradient into the matching array of
+    `grads` and returns the adjoint of x.
     """
     relu = params.spec.activation == "relu"
     last = len(params.weights) - 1
@@ -143,8 +156,8 @@ def _mlp_backward(params: MlpParams, x: np.ndarray, tape: Sequence[np.ndarray], 
             d = y * y
             np.subtract(1.0, d, out=d)
             d *= g
-        grads[f"{prefix}.b{li}"] = d.sum(axis=0, keepdims=True)
-        grads[f"{prefix}.w{li}"] = (tape[li - 1] if li else x).T @ d
+        np.sum(d, axis=0, keepdims=True, out=grads.biases[li])
+        np.matmul((tape[li - 1] if li else x).T, d, out=grads.weights[li])
         g = d @ params.weights[li].T
     return g
 
@@ -196,8 +209,8 @@ class FlatAdam:
 
     Parameters, gradients and both moments each live in a single float64
     buffer; `views` cuts a buffer into arrays shaped like the ones given at
-    construction, so callers bind per-layer views and read every update
-    without copies.
+    construction, so callers write gradients into views of `grads` and
+    read every update from views of `params` without copies.
     """
 
     def __init__(self, arrays: Sequence[np.ndarray], learning_rate: float = 1e-3,
@@ -208,7 +221,7 @@ class FlatAdam:
         self.weight_decay = weight_decay
         self._shapes = [np.shape(a) for a in arrays]
         self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-        self._grads, self._m, self._v, self._tmp, self._tmp2 = (
+        self.grads, self._m, self._v, self._tmp, self._tmp2 = (
             np.zeros_like(self.params) for _ in range(5)
         )
         self.step_count = 0
@@ -221,101 +234,88 @@ class FlatAdam:
             off += size
         return out
 
-    def step(self, grads: Sequence[np.ndarray]) -> None:
-        """Applies one update from per-array gradients in construction order.
+    def step(self) -> None:
+        """Applies one update from the gradients held in `grads`.
 
         Raises TrainingError when the update leaves a non-finite parameter.
         """
-        np.concatenate([np.ravel(g) for g in grads], out=self._grads)
         self.step_count += 1
-        _adam_update(self.params, self._grads, self._m, self._v, self.step_count,
+        _adam_update(self.params, self.grads, self._m, self._v, self.step_count,
                      self.learning_rate, self.weight_decay, self._tmp, self._tmp2)
         if not np.isfinite(self.params).all():
             raise TrainingError(f"non-finite parameters after Adam step {self.step_count}")
 
 
-# parameter bindings -------------------------------------------------------------
-
-
-def mlp_param_bindings(prefix: str, params: MlpParams) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for li, (w, bias) in enumerate(zip(params.weights, params.biases)):
-        out[f"{prefix}.w{li}"] = w
-        out[f"{prefix}.b{li}"] = bias
-    return out
-
-
-def mlp_from_bindings(prefix: str, spec: MlpSpec, bindings: Mapping[str, np.ndarray]) -> MlpParams:
-    """Inverse of mlp_param_bindings: the MlpParams bound under `prefix`."""
-    layers = range(len(spec.layer_dims))
-    return MlpParams(spec, tuple(bindings[f"{prefix}.w{li}"] for li in layers),
-                     tuple(bindings[f"{prefix}.b{li}"] for li in layers))
-
-
 # regression loss ----------------------------------------------------------------
 
 
-def value_and_gradients(spec: MlpSpec, bindings: Mapping[str, np.ndarray]
-                        ) -> tuple[float, dict[str, np.ndarray]]:
-    """Batch-mean squared error of the MLP bound under 'mlp' and its gradient.
+def value_and_gradients(params: MlpParams, batch: Mapping[str, np.ndarray],
+                        grads: MlpParams, tape: list | None = None) -> float:
+    """Batch-mean squared error of the MLP and its gradient.
 
-    `bindings` holds the parameters (see mlp_param_bindings), the batch
-    rows "x" and "y", and "mean_row", a (1, batch) row of 1/batch entries.
-    Returns the loss and one gradient per parameter name.
+    `batch` holds the rows "x" and "y" and "mean_row", a (1, batch) row of
+    1/batch entries. Writes the gradient of every parameter array into the
+    matching array of `grads` and returns the loss. `tape` may carry the
+    layer outputs of an earlier call for reuse (see mlp_forward).
     """
-    params = mlp_from_bindings("mlp", spec, bindings)
-    x = bindings["x"]
-    mean_row = bindings["mean_row"]
-    tape: list[np.ndarray] = []
-    diff = mlp_forward(params, x, tape) - bindings["y"]
+    x = batch["x"]
+    mean_row = batch["mean_row"]
+    if tape is None:
+        tape = []
+    diff = mlp_forward(params, x, tape) - batch["y"]
     loss = mean_row @ (diff * diff).sum(axis=1, keepdims=True)
     # d(diff*diff) is g*diff + diff*g, one term per factor
     g = mean_row.T * diff
-    grads: dict[str, np.ndarray] = {}
-    _mlp_backward(params, x, tape, g + g, "mlp", grads)
-    return float(loss[0, 0]), grads
+    _mlp_backward(params, x, tape, g + g, grads)
+    return float(loss[0, 0])
 
 
 # training -----------------------------------------------------------------------
 
 
+Model = TypeVar("Model")  # MlpParams or flow.FlowModel: has arrays() and with_arrays()
+
+
 def fit_minibatch(
-    value_and_grads: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
-    params: Mapping[str, np.ndarray],
-    batch_leaves: Callable[[np.ndarray], dict[str, np.ndarray]],
+    value_and_grads: Callable[[Model, dict[str, np.ndarray], Model, list], float],
+    model: Model,
+    batch: Callable[[np.ndarray], dict[str, np.ndarray]],
     n: int,
     epochs: int,
     batch_size: int,
     rng: np.random.Generator,
     learning_rate: float,
     weight_decay: float,
-) -> tuple[dict[str, np.ndarray], list[float]]:
+) -> tuple[Model, list[float]]:
     """Minibatch Adam on a batch-mean scalar loss.
 
-    `params` maps parameter names to their initial arrays, which are not
-    modified. Each epoch draws one rng.permutation(n) and cuts it into
-    batches; batch_leaves(idx) returns the data bindings for the rows idx
-    and may draw from rng itself. value_and_grads(bindings) gets the
-    parameters and the batch in one mapping and returns the loss and one
-    gradient per parameter name. Returns the trained arrays under the same
-    names and the per-epoch mean loss.
+    The arrays of `model` are not modified: training runs on a copy of the
+    model over views of the optimizer's parameter buffer, and a second
+    model of the same layout over views of its gradient buffer holds the
+    gradients. Each epoch draws one rng.permutation(n) and cuts it into
+    batches; batch(idx) returns the data for the rows idx and may draw
+    from rng itself. value_and_grads(model, batch, grads, tape) returns the
+    loss and writes every gradient array into `grads`; `tape` is one list
+    passed to every step, in which the forward pass keeps its activations,
+    so a step rewrites the previous step's buffers instead of allocating
+    (and, for large batches, page-faulting in) fresh ones. Returns the
+    trained model and the per-epoch mean loss.
     """
-    names = list(params)
-    opt = FlatAdam([params[nm] for nm in names], learning_rate, weight_decay)
-    trained = dict(zip(names, opt.views(opt.params)))
-    bindings = dict(trained)
+    opt = FlatAdam(model.arrays(), learning_rate, weight_decay)
+    trained = model.with_arrays(opt.views(opt.params))
+    grads = model.with_arrays(opt.views(opt.grads))
+    tape: list = []
     trace: list[float] = []
     for epoch in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            bindings.update(batch_leaves(idx))
-            loss, grads = value_and_grads(bindings)
+            loss = value_and_grads(trained, batch(idx), grads, tape)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * idx.size
-            opt.step([grads[nm] for nm in names])
+            opt.step()
         trace.append(epoch_loss / n)
     return trained, trace
 
@@ -343,16 +343,12 @@ def train_regressor(
         raise ValueError("training data must be finite")
     rng = np.random.default_rng(seed)
 
-    def batch_leaves(idx: np.ndarray) -> dict[str, np.ndarray]:
+    def batch(idx: np.ndarray) -> dict[str, np.ndarray]:
         return {"x": x_train[idx], "y": y_train[idx],
                 "mean_row": np.full((1, idx.size), 1.0 / idx.size)}
 
-    trained, trace = fit_minibatch(
-        lambda bindings: value_and_gradients(spec, bindings),
-        mlp_param_bindings("mlp", init_mlp(spec, rng)), batch_leaves, n,
-        epochs, batch_size, rng, learning_rate, weight_decay,
-    )
-    return mlp_from_bindings("mlp", spec, trained), trace
+    return fit_minibatch(value_and_gradients, init_mlp(spec, rng), batch, n,
+                         epochs, batch_size, rng, learning_rate, weight_decay)
 
 
 # serialization -------------------------------------------------------------------

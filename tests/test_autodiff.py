@@ -18,7 +18,6 @@ from ridkit.neural import (
     _mlp_backward,
     init_mlp,
     mlp_forward,
-    mlp_param_bindings,
     value_and_gradients,
 )
 
@@ -33,18 +32,28 @@ def _random_params(spec, rng):
                    [rng.standard_normal((1, o)) for _, o in spec.layer_dims])
 
 
+def _nan_grads(model):
+    """A gradient holder shaped like `model` (MlpParams or FlowModel) that
+    holds NaN until a reverse pass overwrites it."""
+    return model.with_arrays([np.full_like(a, np.nan) for a in model.arrays()])
+
+
 def _backward(params, x, g):
     tape = []
     mlp_forward(params, x, tape)
-    grads = {}
-    g_x = _mlp_backward(params, x, tape, g, "n", grads)
+    grads = _nan_grads(params)
+    g_x = _mlp_backward(params, x, tape, g, grads)
     return g_x, grads
 
 
-def _bindings(params, x, y):
+def _batch(x, y):
     rows = x.shape[0]
-    return {**mlp_param_bindings("mlp", params), "x": x, "y": y,
-            "mean_row": np.full((1, rows), 1.0 / rows)}
+    return {"x": x, "y": y, "mean_row": np.full((1, rows), 1.0 / rows)}
+
+
+def _value_and_gradients(params, batch):
+    grads = _nan_grads(params)
+    return value_and_gradients(params, batch, grads), grads
 
 
 def test_grad_matmul_by_hand():
@@ -52,8 +61,8 @@ def test_grad_matmul_by_hand():
     params = _params(spec, [[[1.0], [1.0]]], [[[0.5]]])
     g_x, grads = _backward(params, np.array([[1.0, 2.0]]), np.array([[1.0]]))
     np.testing.assert_array_equal(g_x, [[1.0, 1.0]])
-    np.testing.assert_array_equal(grads["n.w0"], [[1.0], [2.0]])
-    np.testing.assert_array_equal(grads["n.b0"], [[1.0]])
+    np.testing.assert_array_equal(grads.weights[0], [[1.0], [2.0]])
+    np.testing.assert_array_equal(grads.biases[0], [[1.0]])
 
 
 def test_tanh_grad_at_zero_is_one():
@@ -67,11 +76,10 @@ def test_tanh_grad_at_zero_is_one():
 def test_grad_of_sum_of_squares():
     # loss = (3w + b - 0)^2 at w = 1, b = 0: 9, with d/dw = 18 and d/db = 6
     params = _params(MlpSpec(1, 1), [[[1.0]]], [[[0.0]]])
-    loss, grads = value_and_gradients(params.spec, _bindings(params, np.array([[3.0]]),
-                                                             np.array([[0.0]])))
+    loss, grads = _value_and_gradients(params, _batch(np.array([[3.0]]), np.array([[0.0]])))
     assert loss == 9.0
-    np.testing.assert_array_equal(grads["mlp.w0"], [[18.0]])
-    np.testing.assert_array_equal(grads["mlp.b0"], [[6.0]])
+    np.testing.assert_array_equal(grads.weights[0], [[18.0]])
+    np.testing.assert_array_equal(grads.biases[0], [[6.0]])
 
 
 @pytest.mark.parametrize("act", ["identity", "tanh", "relu"])
@@ -92,13 +100,11 @@ def test_dense_finite_diff(act):
 
     out = mlp_forward(params, x)
     g_x, grads = _backward(params, x, out + out)
-    arrays = {"x": (x, g_x), **{
-        f"n.{kind}{li}": (arr, grads[f"n.{kind}{li}"])
-        for li in range(len(spec.layer_dims))
-        for kind, arr in (("w", params.weights[li]), ("b", params.biases[li]))
-    }}
+    # x first, then every parameter array with the gradient written for it
+    arrays = [("x", x, g_x), *((f"array {i}", arr, grad) for i, (arr, grad)
+                               in enumerate(zip(params.arrays(), grads.arrays(), strict=True)))]
     h = 1e-6
-    for name, (arr, grad) in arrays.items():
+    for name, arr, grad in arrays:
         assert grad.shape == arr.shape
         for ij in np.ndindex(arr.shape):
             orig = arr[ij]
@@ -113,7 +119,8 @@ def test_dense_finite_diff(act):
 
 def _composite_reference(params, x, y, mean_row, act):
     """The MSE loss and its gradient in plain numpy, one fresh array per
-    operation: h = act(x @ w0 + b0), out = h @ w1 + b1 (or out = x @ w0 + b0)."""
+    operation: h = act(x @ w0 + b0), out = h @ w1 + b1 (or out = x @ w0 + b0).
+    The gradients come in MlpParams.arrays() order."""
     w, b = params.weights, params.biases
     if act == "identity":
         diff = (x @ w[0] + b[0]) - y
@@ -124,13 +131,11 @@ def _composite_reference(params, x, y, mean_row, act):
     loss = mean_row @ (diff * diff).sum(axis=1, keepdims=True)
     d_out = 2.0 * (mean_row.T * diff)
     if act == "identity":
-        return float(loss[0, 0]), {"mlp.w0": x.T @ d_out, "mlp.b0": d_out.sum(axis=0, keepdims=True)}
+        return float(loss[0, 0]), [x.T @ d_out, d_out.sum(axis=0, keepdims=True)]
     g_h = d_out @ w[1].T
     d_h = g_h * (1.0 - h * h) if act == "tanh" else g_h * (h > 0.0)
-    return float(loss[0, 0]), {
-        "mlp.w1": h.T @ d_out, "mlp.b1": d_out.sum(axis=0, keepdims=True),
-        "mlp.w0": x.T @ d_h, "mlp.b0": d_h.sum(axis=0, keepdims=True),
-    }
+    return float(loss[0, 0]), [x.T @ d_h, d_h.sum(axis=0, keepdims=True),
+                               h.T @ d_out, d_out.sum(axis=0, keepdims=True)]
 
 
 @pytest.mark.parametrize("act", ["identity", "tanh", "relu"])
@@ -139,13 +144,12 @@ def test_dense_bitwise_equals_composite(act):
     spec = MlpSpec(3, 2) if act == "identity" else MlpSpec(3, 2, (5,), act)
     params = _random_params(spec, rng)
     x, y = rng.standard_normal((7, 3)), rng.standard_normal((7, 2))
-    bindings = _bindings(params, x, y)
-    loss, grads = value_and_gradients(spec, bindings)
-    ref_loss, ref_grads = _composite_reference(params, x, y, bindings["mean_row"], act)
+    batch = _batch(x, y)
+    loss, grads = _value_and_gradients(params, batch)
+    ref_loss, ref_grads = _composite_reference(params, x, y, batch["mean_row"], act)
     assert loss == ref_loss
-    assert sorted(grads) == sorted(ref_grads)
-    for name, ref in ref_grads.items():
-        np.testing.assert_array_equal(grads[name], ref)
+    for got, ref in zip(grads.arrays(), ref_grads, strict=True):
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_gradient_wrt_unused_leaf_is_zero():
@@ -156,11 +160,11 @@ def test_gradient_wrt_unused_leaf_is_zero():
     params = _random_params(spec, rng)
     params.biases[0][0, 1] = -100.0
     x, y = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
-    _, grads = value_and_gradients(spec, _bindings(params, x, y))
-    np.testing.assert_array_equal(grads["mlp.w0"][:, 1], 0.0)
-    np.testing.assert_array_equal(grads["mlp.b0"][:, 1], 0.0)
-    np.testing.assert_array_equal(grads["mlp.w1"][1, :], 0.0)
-    assert np.abs(grads["mlp.w0"][:, [0, 2]]).max() > 0.0
+    _, grads = _value_and_gradients(params, _batch(x, y))
+    np.testing.assert_array_equal(grads.weights[0][:, 1], 0.0)
+    np.testing.assert_array_equal(grads.biases[0][:, 1], 0.0)
+    np.testing.assert_array_equal(grads.weights[1][1, :], 0.0)
+    assert np.abs(grads.weights[0][:, [0, 2]]).max() > 0.0
 
 
 def test_gradient_linearity_over_random_graphs():
@@ -176,55 +180,112 @@ def test_gradient_linearity_over_random_graphs():
         gx2, gr2 = _backward(params, x, g2)
         gxb, grb = _backward(params, x, g1 + g2)
         np.testing.assert_allclose(gxb, gx1 + gx2, rtol=1e-12, atol=1e-12)
-        for name in grb:
-            np.testing.assert_allclose(grb[name], gr1[name] + gr2[name], rtol=1e-12, atol=1e-12)
+        for both, a1, a2 in zip(grb.arrays(), gr1.arrays(), gr2.arrays(), strict=True):
+            np.testing.assert_allclose(both, a1 + a2, rtol=1e-12, atol=1e-12)
+
+
+def _assert_pure(value_and_gradients, model, batch):
+    """Two calls on one model and batch, each with its own gradient holder,
+    leave the model and the batch alone and agree bit for bit."""
+    before = [a.copy() for a in model.arrays()], {k: v.copy() for k, v in batch.items()}
+    g1, g2 = _nan_grads(model), _nan_grads(model)
+    assert value_and_gradients(model, batch, g1) == value_and_gradients(model, batch, g2)
+    for a, b in zip(model.arrays(), before[0], strict=True):
+        np.testing.assert_array_equal(a, b)
+    for k, v in batch.items():
+        np.testing.assert_array_equal(v, before[1][k])
+    for a, b in zip(g1.arrays(), g2.arrays(), strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_evaluate_is_pure():
     rng = np.random.default_rng(5)
     spec = MlpSpec(3, 2, (6, 4), "tanh")
-    bindings = _bindings(_random_params(spec, rng), rng.standard_normal((8, 3)),
-                         rng.standard_normal((8, 2)))
-    before = {k: v.copy() for k, v in bindings.items()}
-    first = value_and_gradients(spec, bindings)
-    second = value_and_gradients(spec, bindings)
-    for k, v in bindings.items():
-        np.testing.assert_array_equal(v, before[k])
-    assert first[0] == second[0]
-    for name in first[1]:
-        np.testing.assert_array_equal(first[1][name], second[1][name])
-
+    _assert_pure(value_and_gradients, _random_params(spec, rng),
+                 _batch(rng.standard_normal((8, 3)), rng.standard_normal((8, 2))))
     model = flow.build_flow(2, 1, n_blocks=2, hidden=(5,), seed=3)
     x, y = rng.standard_normal((6, 2)), rng.standard_normal((6, 1))
-    fb = {**model.param_bindings(), "x": x, "y": y, "w_row": np.full((1, 6), 1.0 / 6)}
-    fb_before = {k: v.copy() for k, v in fb.items()}
-    f1, f2 = flow.value_and_gradients(model, fb), flow.value_and_gradients(model, fb)
-    for k, v in fb.items():
-        np.testing.assert_array_equal(v, fb_before[k])
-    assert f1[0] == f2[0]
-    for name in f1[1]:
-        np.testing.assert_array_equal(f1[1][name], f2[1][name])
+    _assert_pure(flow.value_and_gradients, model,
+                 {"x": x, "y": y, "w_row": np.full((1, 6), 1.0 / 6)})
+
+
+def _random_flow(d_x, rng):
+    model = flow.build_flow(d_x, 2, n_blocks=3, hidden=(5,), seed=d_x)
+    return model.with_arrays([rng.standard_normal(a.shape) for a in model.arrays()])
+
+
+@pytest.mark.parametrize("case", ["mlp-tanh", "mlp-relu", "flow-dx1", "flow-dx3"])
+def test_reverse_pass_writes_every_gradient_array(case):
+    # the optimizer's gradient buffer persists across steps, so an array the
+    # reverse pass skipped would silently feed Adam the previous step's
+    # gradient; here it would keep its NaN
+    rng = np.random.default_rng(31)
+    kind, variant = case.split("-")
+    if kind == "mlp":
+        model = _random_params(MlpSpec(3, 2, (6, 5), variant), rng)
+        vg, batch = value_and_gradients, _batch(rng.standard_normal((9, 3)),
+                                                rng.standard_normal((9, 2)))
+    else:  # d_x=1 has blocks with an empty passive half
+        d_x = int(variant[2:])
+        model = _random_flow(d_x, rng)
+        vg, batch = flow.value_and_gradients, {
+            "x": rng.standard_normal((9, d_x)), "y": rng.standard_normal((9, 2)),
+            "w_row": np.full((1, 9), 1.0 / 9)}
+    grads = _nan_grads(model)
+    assert np.isfinite(vg(model, batch, grads))
+    assert len(grads.arrays()) == len(model.arrays())
+    for i, g in enumerate(grads.arrays()):
+        assert np.isfinite(g).all(), f"array {i} was not written"
+
+
+def _tape_arrays(tape):
+    """The activation arrays in a tape: the MLP's layer outputs, or the s and
+    t subnet outputs of each flow block record."""
+    return [a for entry in tape
+            for a in (entry[1] + entry[2] if isinstance(entry, list) else [entry])]
+
+
+@pytest.mark.parametrize("kind", ["mlp", "flow"])
+def test_tape_reused_across_calls_matches_a_fresh_tape(kind):
+    # fit_minibatch passes one tape to every step; a smaller last batch
+    # replaces its buffers, and the next full batch replaces them again
+    rng = np.random.default_rng(32)
+    sizes = (9, 9, 4, 9)
+    if kind == "mlp":
+        model, vg = _random_params(MlpSpec(3, 2, (6, 5), "tanh"), rng), value_and_gradients
+        batches = [_batch(rng.standard_normal((n, 3)), rng.standard_normal((n, 2))) for n in sizes]
+    else:
+        model, vg = _random_flow(3, rng), flow.value_and_gradients
+        batches = [{"x": rng.standard_normal((n, 3)), "y": rng.standard_normal((n, 2)),
+                    "w_row": np.full((1, n), 1.0 / n)} for n in sizes]
+    tape, kept = [], []
+    for batch in batches:
+        fresh, reused = _nan_grads(model), _nan_grads(model)
+        assert vg(model, batch, reused, tape) == vg(model, batch, fresh)
+        for a, b in zip(reused.arrays(), fresh.arrays(), strict=True):
+            np.testing.assert_array_equal(a, b)
+        kept.append(_tape_arrays(tape))
+    assert all(a is b for a, b in zip(kept[0], kept[1], strict=True))  # same size: rewritten
+    assert not any(a is b for a, b in zip(kept[1], kept[2], strict=True))
 
 
 def test_concurrent_value_and_gradients_on_one_graph():
     rng = np.random.default_rng(14)
     spec = MlpSpec(3, 2, (5,), "tanh")
-    params = mlp_param_bindings("mlp", init_mlp(spec, rng))
-    inputs = []
-    for _ in range(4):
-        x, y = rng.standard_normal((64, 3)), rng.standard_normal((64, 2))
-        inputs.append({**params, "x": x, "y": y, "mean_row": np.full((1, 64), 1.0 / 64)})
-    expected = [value_and_gradients(spec, bnd) for bnd in inputs]
-    jobs = inputs * 25
+    params = init_mlp(spec, rng)
+    batches = [_batch(rng.standard_normal((64, 3)), rng.standard_normal((64, 2)))
+               for _ in range(4)]
+    expected = [_value_and_gradients(params, b) for b in batches]
+    jobs = batches * 25
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(lambda bnd: value_and_gradients(spec, bnd), jobs))
+            results = list(pool.map(lambda b: _value_and_gradients(params, b), jobs))
     finally:
         sys.setswitchinterval(old)
     for i, (val, grads) in enumerate(results):
-        ref_val, ref_grads = expected[i % len(inputs)]
+        ref_val, ref_grads = expected[i % len(batches)]
         assert val == ref_val
-        for name, ref in ref_grads.items():
-            np.testing.assert_array_equal(grads[name], ref)
+        for got, ref in zip(grads.arrays(), ref_grads.arrays(), strict=True):
+            np.testing.assert_array_equal(got, ref)

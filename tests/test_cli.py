@@ -11,6 +11,7 @@ from ridkit.fileio import (
     MODEL_FILE,
     REPORT_FILE,
     SAMPLES_FILE,
+    SAMPLES_META_FILE,
     TRACE_FILE,
     WEIGHTS_FILE,
     read_dataset,
@@ -75,9 +76,10 @@ def test_weights_command_tau_zero(dataset_dir, capsys):
                "--epochs", "5", "--seed", "2", "--out", dataset_dir) == 0
     printed = capsys.readouterr().out
     assert "min=1.001000" in printed and "max=1.001000" in printed
-    w, cfg = read_weights(dataset_dir / WEIGHTS_FILE)
+    w, cfg, source_sha256 = read_weights(dataset_dir / WEIGHTS_FILE)
     assert w.shape == (120,)
     assert cfg.tau == 0.0
+    assert source_sha256 == sha256_of(dataset_dir / DATASET_FILE)
     np.testing.assert_allclose(w, np.full(120, 1.001), rtol=1e-12)
 
 
@@ -150,10 +152,38 @@ def test_train_weights_misalignment_is_data_error(dataset_dir, tmp_path):
     assert code == 3
 
 
+def test_weights_from_another_dataset_of_equal_size_is_data_error(dataset_dir, tmp_path, capsys):
+    other = tmp_path / "other"
+    assert run("generate", "--task", "radian", "--noise", "n_x", "--n", "120",
+               "--seed", "2", "--out", other) == 0
+    for data in (dataset_dir, other):
+        assert run("weights", "--dataset", data, "--k", "2", "--epochs", "1",
+                   "--out", data) == 0
+    train = ("--blocks", "2", "--hidden", "8", "--epochs", "1", "--out", tmp_path / "m")
+    assert run("train", "--dataset", other, "--weights", other / WEIGHTS_FILE, *train) == 0
+    capsys.readouterr()
+    assert run("train", "--dataset", dataset_dir, "--weights", other / WEIGHTS_FILE, *train) == 3
+    assert sha256_of(other / DATASET_FILE) in capsys.readouterr().err
+
+
+def test_weights_file_of_format_version_one_is_data_error(dataset_dir, tmp_path, capsys):
+    assert run("weights", "--dataset", dataset_dir, "--k", "2", "--epochs", "1",
+               "--out", tmp_path) == 0
+    doc = read_json(tmp_path / WEIGHTS_FILE)
+    assert doc["format_version"] == 2
+    del doc["dataset_sha256"]
+    doc["format_version"] = 1
+    (tmp_path / WEIGHTS_FILE).write_text(json.dumps(doc))
+    assert run("train", "--dataset", dataset_dir, "--weights", tmp_path / WEIGHTS_FILE,
+               "--blocks", "2", "--hidden", "8", "--epochs", "1", "--out", tmp_path / "m") == 3
+    assert "format_version 1" in capsys.readouterr().err
+
+
 def test_omitted_weights_equals_all_ones_file(dataset_dir, tmp_path):
     ones = {
-        "format_version": 1,
+        "format_version": 2,
         "kind": "sample-weights",
+        "dataset_sha256": sha256_of(dataset_dir / DATASET_FILE),
         "config": {
             "k_folds": 2, "tau": 0.0, "eps": 1e-3,
             "surrogate_hidden": [8], "surrogate_activation": "tanh",
@@ -272,6 +302,65 @@ def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, where):
         code = run("pipeline", "--config", cfg)
     assert code == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_sample_meta_names_the_model_by_hash_not_path(model_file, dataset_dir, tmp_path,
+                                                     monkeypatch):
+    copy = tmp_path / "elsewhere" / "copy.json"
+    copy.parent.mkdir()
+    copy.write_bytes(model_file.read_bytes())
+    monkeypatch.chdir(model_file.parent)
+    metas = []
+    for model, out in ((MODEL_FILE, tmp_path / "s1"), (copy, tmp_path / "s2")):
+        assert run("sample", "--model", model, "--targets", dataset_dir, "--n-per-target", "2",
+                   "--seed", "3", "--out", out) == 0
+        metas.append((out / SAMPLES_META_FILE).read_bytes())
+    assert metas[0] == metas[1]
+    assert json.loads(metas[0])["model_sha256"] == sha256_of(model_file)
+
+
+def _non_finite_target(tmp_path, model_file, data, out):
+    targets = tmp_path / "targets.jsonl"
+    targets.write_text('{"y": [0.5]}\n{"y": [NaN]}\n')
+    return ("sample", "--model", model_file, "--targets", targets, "--out", out)
+
+
+def _meta_without_task(tmp_path, model_file, data, out):
+    meta = read_json(data / DATASET_META_FILE)
+    del meta["task"]
+    (data / DATASET_META_FILE).write_text(json.dumps(meta))
+    return ("train", "--dataset", data, "--blocks", "2", "--hidden", "8", "--epochs", "1",
+            "--out", out)
+
+
+def _sample_with_non_model(tmp_path, model_file, data, out):
+    return ("sample", "--model", data / DATASET_META_FILE, "--targets", data, "--out", out)
+
+
+def _eval_with_non_model(tmp_path, model_file, data, out):
+    return ("eval", "--model", data / DATASET_META_FILE, "--task", "radian",
+            "--n-targets", "4", "--out", out)
+
+
+def _model_missing_field(tmp_path, model_file, data, out):
+    doc = read_json(model_file)
+    del doc["subnets"][0]["t"]["layers"]
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    return ("eval", "--model", model_file, "--baseline", bad, "--task", "radian",
+            "--n-targets", "4", "--out", out)
+
+
+@pytest.mark.parametrize("make_argv", [
+    _non_finite_target, _meta_without_task, _sample_with_non_model, _eval_with_non_model,
+    _model_missing_field,
+], ids=["sample-nan-target", "train-meta-without-task", "sample-non-model",
+        "eval-non-model", "eval-baseline-missing-field"])
+def test_malformed_input_is_data_error(model_file, dataset_dir, tmp_path, capsys, make_argv):
+    out = tmp_path / "o"
+    assert run(*make_argv(tmp_path, model_file, dataset_dir, out)) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not (out / SAMPLES_FILE).exists()
 
 
 @pytest.fixture

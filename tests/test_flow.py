@@ -161,17 +161,16 @@ def test_value_and_gradients_match_finite_differences(d_x):
     x = rng.standard_normal((7, d_x))
     y = rng.standard_normal((7, 2))
     w_row = rng.uniform(0.2, 3.0, (1, 7)) / 7
-    bindings = {**model.param_bindings(), "x": x, "y": y, "w_row": w_row}
 
     def loss_of_model():
         return (w_row @ -flow_log_prob(model, x, y))[0, 0]
 
-    loss, grads = value_and_gradients(model, bindings)
+    grads = model.with_arrays([np.zeros_like(a) for a in model.arrays()])
+    loss = value_and_gradients(model, {"x": x, "y": y, "w_row": w_row}, grads)
     assert loss == pytest.approx(loss_of_model(), rel=1e-12)
-    assert sorted(grads) == sorted(model.param_bindings())
     h = 1e-6
-    for name, grad in grads.items():
-        arr = bindings[name]  # the array the model holds, perturbed in place
+    # each array the model holds, perturbed in place, against its gradient
+    for i, (arr, grad) in enumerate(zip(model.arrays(), grads.arrays(), strict=True)):
         assert grad.shape == arr.shape
         for ij in np.ndindex(arr.shape):
             orig = arr[ij]
@@ -181,7 +180,19 @@ def test_value_and_gradients_match_finite_differences(d_x):
             down = loss_of_model()
             arr[ij] = orig
             fd = (up - down) / (2.0 * h)
-            assert abs(grad[ij] - fd) <= 1e-6 * max(abs(fd), 1.0), (name, ij)
+            assert abs(grad[ij] - fd) <= 1e-6 * max(abs(fd), 1.0), (i, ij)
+
+
+def test_flow_arrays_are_each_blocks_s_then_t_arrays():
+    model = build_flow(3, 2, n_blocks=2, hidden=(4,), seed=0)
+    expect = [a for blk in model.blocks for a in blk.s_params.arrays() + blk.t_params.arrays()]
+    assert all(a is b for a, b in zip(model.arrays(), expect, strict=True))
+    back = model.with_arrays([a + 1.0 for a in model.arrays()])
+    assert back.perms == model.perms and back.x_scale is model.x_scale
+    for a, b in zip(back.arrays(), model.arrays(), strict=True):
+        np.testing.assert_array_equal(a, b + 1.0)
+    with pytest.raises(ValueError):
+        model.with_arrays(model.arrays()[:-1])
 
 
 def test_clamp_bounds_every_log_scale():

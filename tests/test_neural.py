@@ -9,7 +9,6 @@ from ridkit.neural import (
     init_mlp,
     mlp_forward,
     mlp_from_jsonable,
-    mlp_param_bindings,
     mlp_to_jsonable,
     mse_loss,
     train_regressor,
@@ -68,9 +67,15 @@ def test_mse_shape_mismatch():
         mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+def _step(opt, grads):
+    for view, g in zip(opt.views(opt.grads), grads, strict=True):
+        view[...] = g
+    opt.step()
+
+
 def _adam_once(params, grads, **kwargs):
     opt = FlatAdam(params, **kwargs)
-    opt.step(grads)
+    _step(opt, grads)
     return opt.views(opt.params)
 
 
@@ -187,14 +192,13 @@ def test_value_and_gradients_match_finite_differences(activation):
                        tuple(rng.standard_normal(b.shape) for b in params.biases))
     x = rng.standard_normal((9, 3))
     y = rng.standard_normal((9, 2))
-    bindings = {**mlp_param_bindings("mlp", params), "x": x, "y": y,
-                "mean_row": np.full((1, 9), 1.0 / 9)}
-    loss, grads = value_and_gradients(spec, bindings)
+    batch = {"x": x, "y": y, "mean_row": np.full((1, 9), 1.0 / 9)}
+    grads = params.with_arrays([np.zeros_like(a) for a in params.arrays()])
+    loss = value_and_gradients(params, batch, grads)
     assert loss == pytest.approx(mse_loss(mlp_forward(params, x), y)[1], rel=1e-12)
-    assert sorted(grads) == sorted(mlp_param_bindings("mlp", params))
     h = 1e-6
-    for name, grad in grads.items():
-        arr = bindings[name]  # the array params holds, perturbed in place
+    # each array params holds, perturbed in place, against its gradient
+    for i, (arr, grad) in enumerate(zip(params.arrays(), grads.arrays(), strict=True)):
         assert grad.shape == arr.shape
         for ij in np.ndindex(arr.shape):
             orig = arr[ij]
@@ -204,7 +208,18 @@ def test_value_and_gradients_match_finite_differences(activation):
             down = mse_loss(mlp_forward(params, x), y)[1]
             arr[ij] = orig
             fd = (up - down) / (2.0 * h)
-            assert abs(grad[ij] - fd) <= 1e-6 * max(abs(fd), 1.0), (name, ij)
+            assert abs(grad[ij] - fd) <= 1e-6 * max(abs(fd), 1.0), (i, ij)
+
+
+def test_arrays_round_trip_through_with_arrays():
+    params = init_mlp(MlpSpec(3, 2, (5, 4)), np.random.default_rng(8))
+    arrays = params.arrays()
+    assert [a.shape for a in arrays] == [(3, 5), (1, 5), (5, 4), (1, 4), (4, 2), (1, 2)]
+    back = params.with_arrays(arrays)
+    assert back.spec == params.spec
+    assert all(a is b for a, b in zip(back.arrays(), arrays, strict=True))
+    with pytest.raises(ValueError):
+        params.with_arrays(arrays[:-2])
 
 
 def test_mlp_spec_validation():
@@ -247,7 +262,7 @@ def test_flat_and_per_array_adam_bitwise_equal_reference():
         grads = [rng.standard_normal(s) * 10.0 ** (t - 2) for s in shapes]
         ref = [_reference_adam(p, g, m, v, t, lr, 0.9, 0.999, 1e-8, wd)
                for (p, m, v), g in zip(ref, grads)]
-        flat.step(grads)
+        _step(flat, grads)
         for (p_ref, m_ref, v_ref), p_flat, m_flat, v_flat in zip(ref, views, m_views, v_views):
             np.testing.assert_array_equal(p_flat, p_ref)
             np.testing.assert_array_equal(m_flat, m_ref)
@@ -258,7 +273,7 @@ def test_flat_and_per_array_adam_bitwise_equal_reference():
 def test_flat_adam_rejects_non_finite_parameters():
     flat = FlatAdam([np.zeros((2, 2))])
     with pytest.raises(TrainingError, match="non-finite"), np.errstate(invalid="ignore"):
-        flat.step([np.full((2, 2), np.inf)])
+        _step(flat, [np.full((2, 2), np.inf)])
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])

@@ -1,9 +1,15 @@
 """The benchmark harness patches ridkit functions by module and name; a
 rename in ridkit would silently drop a per-layer metric to zero. This
-checks that every point the harness traces still resolves."""
+checks that every point the harness traces still resolves, and that the
+row counts it reads from training-gradient calls still see the batch."""
 
 import importlib
 from pathlib import Path
+
+import numpy as np
+
+from ridkit.flow import WnllConfig, build_flow, train_flow_wnll
+from ridkit.neural import MlpSpec, train_regressor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -12,12 +18,34 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 KNOWN_DEAD = {"ridkit.backend.adam_update", "ridkit.neural.adam_step", "ridkit.flow.adam_step"}
 
 
-def test_every_benchmark_trace_point_resolves(monkeypatch):
+def _import_perfbench(monkeypatch, name):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # harness imports its siblings by name
-    harness = importlib.import_module("harness")
+    return importlib.import_module(name)
+
+
+def test_every_benchmark_trace_point_resolves(monkeypatch):
+    harness = _import_perfbench(monkeypatch, "harness")
     unresolved = {
         f"{point.owner}.{point.attr}"
         for point in harness.STAGE_POINTS + harness.LAYER_POINTS
         if not hasattr(importlib.import_module(point.owner), point.attr)
     }
     assert unresolved - KNOWN_DEAD == set()
+
+
+def test_value_and_gradients_rows_are_the_batch_sizes(monkeypatch):
+    harness = _import_perfbench(monkeypatch, "harness")
+    tracer = _import_perfbench(monkeypatch, "tracer").Tracer()
+    points = [p for p in harness.LAYER_POINTS if p.attr == "value_and_gradients"]
+    modules = {p.owner: importlib.import_module(p.owner) for p in points}
+    assert set(modules) == {"ridkit.flow", "ridkit.neural"}
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((50, 2)), rng.standard_normal((50, 1))
+    with tracer.installed(modules, points) as missing:
+        assert missing == []
+        train_regressor(MlpSpec(2, 1, (4,)), (x, y), epochs=2, batch_size=16, seed=0)
+        train_flow_wnll(build_flow(2, 1, n_blocks=2, hidden=(4,)), x, y, None,
+                        WnllConfig(epochs=2, batch_size=16))
+    spans = tracer.drain()
+    for p in points:
+        assert [s.rows for s in spans if s.name == p.name] == [16, 16, 16, 2] * 2, p.name
