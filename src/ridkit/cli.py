@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from .evaluation import EvalConfig, resimulation_error, welch_t_test
@@ -208,17 +209,11 @@ def cmd_eval(args) -> int:
         base_model = flow_from_jsonable(read_json(Path(args.baseline)))
         base = resimulation_error(base_model, task, noise, targets, cfg, method="baseline-flow")
         t, p = welch_t_test(report.per_target_losses, base.per_target_losses)
-        report = _with_comparison(report, {"baseline_mse": base.mse, "t": t, "p": p})
+        report = replace(report, comparison={"baseline_mse": base.mse, "t": t, "p": p})
     write_json(_out_dir(args) / REPORT_FILE, report.to_jsonable())
     print(f"mse={report.mse:.6f} std_error={report.std_error:.6f} "
           f"wall_clock={report.wall_clock_seconds:.2f}s")
     return EXIT_OK
-
-
-def _with_comparison(report, comparison: dict):
-    from dataclasses import replace
-
-    return replace(report, comparison=comparison)
 
 
 def cmd_pipeline(args) -> int:

@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# flow_forward rows per tile: a 64-wide float64 activation of this many rows
+# is 512 KiB, which stays in L2
+_TILE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,8 @@ class FlowModel:
     y_scale: np.ndarray
 
     def __post_init__(self):
+        if not self.blocks:
+            raise ValueError("a flow needs at least one coupling block")
         if len(self.perms) != len(self.blocks):
             raise ValueError("need one permutation per block")
         for p in self.perms:
@@ -248,18 +253,27 @@ def flow_forward(
     """Pushes latents through the whole stack; returns (x, per-row log-det).
 
     The log-det covers the full z -> x map, including the fixed
-    de-standardization scale.
+    de-standardization scale. Rows run through all blocks in tiles of
+    _TILE_ROWS, so each layer's activations stay in cache however many rows
+    come in.
     """
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    cond = (y - model.y_shift) / model.y_scale
-    u = z
-    logdet = np.zeros((z.shape[0], 1))
-    for blk, perm in zip(model.blocks, model.perms):
-        u = u[:, list(perm)]
-        u, ld = coupling_forward(blk, u, cond)
-        logdet = logdet + ld
-    x = u * model.x_scale + model.x_shift
+    if z.shape[0] != y.shape[0]:
+        raise ValueError("z and y need equal row counts")
+    n = z.shape[0]
+    x = np.empty((n, model.d_x))
+    logdet = np.empty((n, 1))
+    for start in range(0, n, _TILE_ROWS):
+        rows = slice(start, start + _TILE_ROWS)
+        cond = (y[rows] - model.y_shift) / model.y_scale
+        u, ld = z[rows], 0.0
+        for blk, perm in zip(model.blocks, model.perms):
+            u = u[:, list(perm)]
+            u, blk_ld = coupling_forward(blk, u, cond)
+            ld = ld + blk_ld
+        x[rows] = u * model.x_scale + model.x_shift
+        logdet[rows] = ld
     return x, logdet + float(np.log(model.x_scale).sum())
 
 
@@ -427,7 +441,7 @@ def flow_to_jsonable(model: FlowModel) -> dict:
         "kind": "coupling-flow",
         "d_x": model.d_x,
         "d_y": model.d_y,
-        "clamp": model.blocks[0].clamp if model.blocks else 2.0,
+        "clamp": model.blocks[0].clamp,
         "masks": [list(blk.active) for blk in model.blocks],
         "permutations": [list(p) for p in model.perms],
         "x_shift": model.x_shift.ravel().tolist(),

@@ -351,11 +351,19 @@ def _model_missing_field(tmp_path, model_file, data, out):
             "--n-targets", "4", "--out", out)
 
 
+def _model_without_blocks(tmp_path, model_file, data, out):
+    doc = read_json(model_file)
+    doc.update(masks=[], subnets=[], permutations=[])
+    bad = tmp_path / "no_blocks.json"
+    bad.write_text(json.dumps(doc))
+    return ("sample", "--model", bad, "--targets", data, "--out", out)
+
+
 @pytest.mark.parametrize("make_argv", [
     _non_finite_target, _meta_without_task, _sample_with_non_model, _eval_with_non_model,
-    _model_missing_field,
+    _model_missing_field, _model_without_blocks,
 ], ids=["sample-nan-target", "train-meta-without-task", "sample-non-model",
-        "eval-non-model", "eval-baseline-missing-field"])
+        "eval-non-model", "eval-baseline-missing-field", "sample-model-without-blocks"])
 def test_malformed_input_is_data_error(model_file, dataset_dir, tmp_path, capsys, make_argv):
     out = tmp_path / "o"
     assert run(*make_argv(tmp_path, model_file, dataset_dir, out)) == 3
