@@ -33,7 +33,6 @@ from .neural import (
     MlpSpec,
     init_mlp,
     mlp_forward,
-    mse_loss,
     train_regressor,
 )
 from .seeding import derive_seed
@@ -41,16 +40,10 @@ from .tasks import (
     Dataset,
     NoiseSpec,
     TaskSpec,
-    apply_noise,
     apply_noise_batch,
-    ballistics_forward,
-    clusters_forward,
     generate_dataset,
-    kinematics_forward,
     make_task,
     prior_sample,
-    radian_forward,
-    radius_forward,
     task_forward,
 )
 from .weights import (

@@ -13,8 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .evaluation import EvalConfig, resimulation_error, welch_t_test
@@ -44,7 +43,7 @@ from .flow import (
     flow_to_jsonable,
     train_flow_wnll,
 )
-from .neural import TrainingError
+from .neural import MlpSpec, TrainingError
 from .seeding import derive_seed
 from .tasks import NOISE_MODES, TASK_NAMES, NoiseSpec, generate_dataset, make_task
 from .weights import WeightConfig, estimate_sample_robustness, robustness_to_weights
@@ -59,15 +58,112 @@ class UsageError(Exception):
     pass
 
 
-@contextmanager
-def _flag_errors():
-    """Reports a ValueError or TypeError raised while building settings from
-    flags or config fields as a usage error; errors raised later, from the
-    data, keep the data exit code."""
+# settings ---------------------------------------------------------------------
+
+# The JSON values each RunConfig annotation accepts (bool never counts as a
+# number), and the lossless conversions applied to them, so `1` and `1.0`
+# give the same artifact bytes.
+_ACCEPTS = {"int": int, "float": (int, float), "str": str, "tuple[int, ...]": (list, tuple)}
+_WIDEN = {"float": float, "tuple[int, ...]": tuple}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every setting of a run, and the one place a CLI default is written.
+
+    Its fields are the keys of a `ridkit pipeline` RunConfig file and the
+    dests of the subcommand flags, which take their defaults from here.
+    Settings a library class owns take that class's default. Construction
+    checks every field from any source before a stage runs: types as JSON
+    gives them, without conversion from strings, and ranges by building the
+    library objects the stages feed.
+    """
+
+    task: str | None = None
+    noise: str = "n_x"
+    n: int = 2000
+    seed: int = 0
+    out: str | None = None
+    threads: int = 1
+    x_sigma: float | None = None
+    y_sigma: float | None = None
+    k_folds: int = WeightConfig.k_folds
+    tau: float = WeightConfig.tau
+    eps: float = WeightConfig.eps
+    surrogate_epochs: int = WeightConfig.epochs
+    surrogate_batch_size: int = WeightConfig.batch_size
+    blocks: int = 6
+    hidden: tuple[int, ...] = (64, 64)
+    clamp: float = 2.0
+    flow_epochs: int = WnllConfig.epochs
+    flow_batch_size: int = WnllConfig.batch_size
+    learning_rate: float = WnllConfig.learning_rate
+    sigma_aug: float = WnllConfig.sigma_aug
+    n_targets: int = EvalConfig.n_targets
+    samples_per_target: int = EvalConfig.samples_per_target
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.removesuffix(" | None")
+            if value is None and kind != f.type:
+                continue
+            if (isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind])
+                    or kind == "tuple[int, ...]" and not all(type(h) is int for h in value)):
+                raise TypeError(f"{f.name} must be {f.type}, not {value!r}")
+            if kind in _WIDEN:
+                object.__setattr__(self, f.name, _WIDEN[kind](value))
+        for name in ("n", "threads", "blocks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.task is not None:
+            make_task(self.task)
+        MlpSpec(1, 1, self.hidden)
+        _noise_spec(self)
+        _weight_config(self)
+        _wnll_config(self)
+        _eval_config(self)
+
+
+_SETTINGS = frozenset(f.name for f in fields(RunConfig))
+
+# Each takes a RunConfig, or a subcommand Namespace whose settings carry
+# RunConfig's names, and builds the library object one stage runs on.
+
+
+def _noise_spec(s, seed: int | None = None) -> NoiseSpec:
+    return NoiseSpec(mode=s.noise, x_sigma=s.x_sigma, y_sigma=s.y_sigma, seed=seed)
+
+
+def _weight_config(s, seed: int = 0) -> WeightConfig:
+    return WeightConfig(k_folds=s.k_folds, tau=s.tau, eps=s.eps, epochs=s.surrogate_epochs,
+                        batch_size=s.surrogate_batch_size, seed=seed)
+
+
+def _wnll_config(s, seed: int = 0) -> WnllConfig:
+    return WnllConfig(epochs=s.flow_epochs, batch_size=s.flow_batch_size, seed=seed,
+                      learning_rate=s.learning_rate, sigma_aug=s.sigma_aug)
+
+
+def _eval_config(s, seed: int = 0) -> EvalConfig:
+    return EvalConfig(n_targets=s.n_targets, samples_per_target=s.samples_per_target, seed=seed)
+
+
+def _run_config(values: dict) -> RunConfig:
+    """RunConfig from named values; any bad value is a usage error."""
+    for key in values:
+        if key not in _SETTINGS:
+            raise UsageError(f"unknown RunConfig field '{key}'")
     try:
-        yield
+        return RunConfig(**values)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _pipeline_defaults() -> dict:
+    """RunConfig's defaults, spelled as a RunConfig file spells them."""
+    defaults = asdict(RunConfig())
+    return {**defaults, "hidden": list(defaults["hidden"])}
 
 
 def _out_dir(args) -> Path:
@@ -80,28 +176,15 @@ def _out_dir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    task = make_task(args.task)
-    with _flag_errors():
-        noise = NoiseSpec(mode=args.noise, x_sigma=args.x_sigma, y_sigma=args.y_sigma,
-                          seed=args.seed)
-    dataset = generate_dataset(task, noise, args.n, args.seed)
+    dataset = generate_dataset(make_task(args.task), _noise_spec(args, args.seed), args.n,
+                               args.seed)
     data_path = write_dataset(_out_dir(args), dataset)
     print(f"rows={dataset.n} sha256={sha256_of(data_path)}")
     return EXIT_OK
 
 
 def cmd_weights(args) -> int:
-    with _flag_errors():
-        cfg = WeightConfig(
-            k_folds=args.k,
-            tau=args.tau,
-            eps=args.eps,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            seed=args.seed,
-        )
+    cfg = _weight_config(args, args.seed)
     dataset = read_dataset(Path(args.dataset))
     r = estimate_sample_robustness(dataset, cfg, threads=args.threads)
     w = robustness_to_weights(r, cfg.tau, cfg.eps)
@@ -111,14 +194,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_train(args) -> int:
-    with _flag_errors():
-        cfg = WnllConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            seed=derive_seed(args.seed, "flow-train"),
-            learning_rate=args.lr,
-            sigma_aug=args.sigma_aug,
-        )
+    cfg = _wnll_config(args, derive_seed(args.seed, "flow-train"))
     dataset = read_dataset(Path(args.dataset))
     weights = None
     if args.weights is not None:
@@ -131,15 +207,14 @@ def cmd_train(args) -> int:
             raise DataError(
                 f"{weights.shape[0]} weights do not align with {dataset.n} dataset rows"
             )
-    with _flag_errors():
-        model = build_flow(
-            d_x=dataset.x.shape[1],
-            d_y=dataset.y.shape[1],
-            n_blocks=args.blocks,
-            hidden=tuple(args.hidden),
-            clamp=args.clamp,
-            seed=derive_seed(args.seed, "flow-init"),
-        )
+    model = build_flow(
+        d_x=dataset.x.shape[1],
+        d_y=dataset.y.shape[1],
+        n_blocks=args.blocks,
+        hidden=args.hidden,
+        clamp=args.clamp,
+        seed=derive_seed(args.seed, "flow-init"),
+    )
     trained, trace = train_flow_wnll(model, dataset.x, dataset.y, weights, cfg)
     out = _out_dir(args)
     write_json(out / MODEL_FILE, flow_to_jsonable(trained))
@@ -167,13 +242,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.n_per_target < 1:
-        raise UsageError("--n-per-target must be >= 1")
     model = flow_from_jsonable(read_json(Path(args.model)))
     targets = read_targets(Path(args.targets), model.d_y)
-    samples = flow_sample(model, targets, args.n_per_target, derive_seed(args.seed, "sample"))
+    k = args.samples_per_target
+    samples = flow_sample(model, targets, k, derive_seed(args.seed, "sample"))
     out = _out_dir(args)
-    k = args.n_per_target
     with (out / SAMPLES_FILE).open("w") as fh:
         for i, t in enumerate(targets):
             block = samples[i * k:(i + 1) * k]
@@ -195,13 +268,8 @@ def cmd_sample(args) -> int:
 
 def cmd_eval(args) -> int:
     task = make_task(args.task)
-    with _flag_errors():
-        noise = NoiseSpec(mode=args.noise, x_sigma=args.x_sigma, y_sigma=args.y_sigma)
-        cfg = EvalConfig(
-            n_targets=args.n_targets,
-            samples_per_target=args.samples_per_target,
-            seed=derive_seed(args.seed, "eval"),
-        )
+    noise = _noise_spec(args)
+    cfg = _eval_config(args, derive_seed(args.seed, "eval"))
     model = flow_from_jsonable(read_json(Path(args.model)))
     targets = generate_dataset(task, noise, cfg.n_targets, derive_seed(args.seed, "targets")).y
     report = resimulation_error(model, task, noise, targets, cfg, method="weighted-flow")
@@ -218,81 +286,27 @@ def cmd_eval(args) -> int:
 
 def cmd_pipeline(args) -> int:
     """generate -> weights -> train -> eval from one RunConfig file."""
-    ns = argparse.Namespace(**_pipeline_defaults())
-    for key, value in _read_config(args.config).items():
-        if key not in vars(ns):
-            raise UsageError(f"unknown RunConfig field '{key}'")
-        setattr(ns, key, value)
-    if ns.task is None or ns.out is None:
+    cfg = _run_config(_read_config(args.config))
+    if cfg.task is None or cfg.out is None:
         raise UsageError("RunConfig needs at least 'task' and 'out'")
-    if ns.task not in TASK_NAMES:
-        raise UsageError(f"RunConfig task must be one of {TASK_NAMES}, not {ns.task!r}")
-    if ns.noise not in NOISE_MODES:
-        raise UsageError(f"RunConfig noise must be one of {NOISE_MODES}, not {ns.noise!r}")
-    with _flag_errors():
-        out = Path(ns.out)
-        seed = int(ns.seed)
-        gen = argparse.Namespace(
-            task=ns.task, noise=ns.noise, n=int(ns.n), seed=derive_seed(seed, "dataset"),
-            x_sigma=ns.x_sigma, y_sigma=ns.y_sigma, out=out,
-        )
-        wargs = argparse.Namespace(
-            dataset=out, k=int(ns.k_folds), tau=float(ns.tau), eps=float(ns.eps),
-            epochs=int(ns.surrogate_epochs), batch_size=int(ns.surrogate_batch_size),
-            seed=derive_seed(seed, "weights"), threads=int(ns.threads), out=out,
-        )
-        targs = argparse.Namespace(
-            dataset=out, weights=out / WEIGHTS_FILE if float(ns.tau) > 0 else None,
-            blocks=int(ns.blocks), hidden=list(ns.hidden), clamp=float(ns.clamp),
-            epochs=int(ns.flow_epochs), batch_size=int(ns.flow_batch_size),
-            lr=float(ns.learning_rate), sigma_aug=float(ns.sigma_aug),
-            seed=derive_seed(seed, "train"), out=out,
-        )
-        eargs = argparse.Namespace(
-            model=out / MODEL_FILE, task=ns.task, noise=ns.noise,
-            x_sigma=ns.x_sigma, y_sigma=ns.y_sigma,
-            n_targets=int(ns.n_targets), samples_per_target=int(ns.samples_per_target),
-            seed=derive_seed(seed, "eval"), baseline=None, out=out,
-        )
-    cmd_generate(gen)
-    cmd_weights(wargs)
-    cmd_train(targs)
-    cmd_eval(eargs)
+    out = Path(cfg.out)
+
+    def stage(role: str, **paths) -> argparse.Namespace:
+        return argparse.Namespace(
+            **{**asdict(cfg), "seed": derive_seed(cfg.seed, role), "out": out, **paths})
+
+    cmd_generate(stage("dataset"))
+    cmd_weights(stage("weights", dataset=out))
+    cmd_train(stage("train", dataset=out, weights=out / WEIGHTS_FILE if cfg.tau > 0 else None))
+    cmd_eval(stage("eval", model=out / MODEL_FILE, baseline=None))
     return EXIT_OK
-
-
-def _pipeline_defaults() -> dict:
-    return {
-        "task": None,
-        "noise": "n_x",
-        "n": 2000,
-        "seed": 0,
-        "out": None,
-        "threads": 1,
-        "x_sigma": None,
-        "y_sigma": None,
-        "k_folds": 5,
-        "tau": 1.0,
-        "eps": 1e-3,
-        "surrogate_epochs": 40,
-        "surrogate_batch_size": 128,
-        "blocks": 6,
-        "hidden": [64, 64],
-        "clamp": 2.0,
-        "flow_epochs": 40,
-        "flow_batch_size": 256,
-        "learning_rate": 1e-3,
-        "sigma_aug": 1e-3,
-        "n_targets": 128,
-        "samples_per_target": 16,
-    }
 
 
 # parser -----------------------------------------------------------------------
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -301,64 +315,71 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ridkit",
         description="Robust inverse design: weighted-likelihood conditional flows",
     )
-    parser.add_argument("--config", type=Path, default=None,
-                        help="RunConfig JSON whose fields override matching flags")
+    parser.add_argument("--config", type=Path,
+                        help="JSON object of RunConfig fields that override this "
+                             "subcommand's matching flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="draw a noisy dataset from a task prior")
     g.add_argument("--task", required=True, choices=TASK_NAMES)
-    g.add_argument("--noise", default="none", choices=NOISE_MODES)
+    g.add_argument("--noise", default=RunConfig.noise, choices=NOISE_MODES)
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--x-sigma", dest="x_sigma", type=float, default=None)
-    g.add_argument("--y-sigma", dest="y_sigma", type=float, default=None)
+    g.add_argument("--x-sigma", dest="x_sigma", type=float, default=RunConfig.x_sigma)
+    g.add_argument("--y-sigma", dest="y_sigma", type=float, default=RunConfig.y_sigma)
     _add_common(g)
     g.set_defaults(func=cmd_generate)
 
     w = sub.add_parser("weights", help="estimate per-sample robustness weights")
     w.add_argument("--dataset", required=True, help="dataset.jsonl or its directory")
-    w.add_argument("--k", type=int, default=5)
-    w.add_argument("--tau", type=float, default=1.0)
-    w.add_argument("--eps", type=float, default=1e-3)
-    w.add_argument("--epochs", type=int, default=60)
-    w.add_argument("--batch-size", dest="batch_size", type=int, default=128)
-    w.add_argument("--threads", type=int, default=1)
+    w.add_argument("--k", dest="k_folds", type=int, default=RunConfig.k_folds)
+    w.add_argument("--tau", type=float, default=RunConfig.tau)
+    w.add_argument("--eps", type=float, default=RunConfig.eps)
+    w.add_argument("--epochs", dest="surrogate_epochs", type=int,
+                   default=RunConfig.surrogate_epochs)
+    w.add_argument("--batch-size", dest="surrogate_batch_size", type=int,
+                   default=RunConfig.surrogate_batch_size)
+    w.add_argument("--threads", type=int, default=RunConfig.threads)
     _add_common(w)
     w.set_defaults(func=cmd_weights)
 
     t = sub.add_parser("train", help="fit the conditional flow (weighted when given weights)")
     t.add_argument("--dataset", required=True)
-    t.add_argument("--weights", default=None, help="weights.json; omit for the unweighted baseline")
-    t.add_argument("--blocks", type=int, default=8)
-    t.add_argument("--hidden", type=int, nargs="+", default=[128, 128])
-    t.add_argument("--clamp", type=float, default=2.0)
-    t.add_argument("--epochs", type=int, default=100)
-    t.add_argument("--batch-size", dest="batch_size", type=int, default=256)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--sigma-aug", dest="sigma_aug", type=float, default=1e-3)
+    t.add_argument("--weights", help="weights.json; omit for the unweighted baseline")
+    t.add_argument("--blocks", type=int, default=RunConfig.blocks)
+    t.add_argument("--hidden", type=int, nargs="+", default=RunConfig.hidden)
+    t.add_argument("--clamp", type=float, default=RunConfig.clamp)
+    t.add_argument("--epochs", dest="flow_epochs", type=int, default=RunConfig.flow_epochs)
+    t.add_argument("--batch-size", dest="flow_batch_size", type=int,
+                   default=RunConfig.flow_batch_size)
+    t.add_argument("--lr", dest="learning_rate", type=float, default=RunConfig.learning_rate)
+    t.add_argument("--sigma-aug", dest="sigma_aug", type=float, default=RunConfig.sigma_aug)
     _add_common(t)
     t.set_defaults(func=cmd_train)
 
     s = sub.add_parser("sample", help="draw designs for targets from a trained model")
     s.add_argument("--model", required=True)
     s.add_argument("--targets", required=True, help="jsonl whose rows carry a 'y' field")
-    s.add_argument("--n-per-target", dest="n_per_target", type=int, default=16)
+    s.add_argument("--n-per-target", dest="samples_per_target", type=int,
+                   default=RunConfig.samples_per_target)
     _add_common(s)
     s.set_defaults(func=cmd_sample)
 
     e = sub.add_parser("eval", help="re-simulation error of a model on fresh targets")
     e.add_argument("--model", required=True)
     e.add_argument("--task", required=True, choices=TASK_NAMES)
-    e.add_argument("--noise", default="none", choices=NOISE_MODES)
-    e.add_argument("--x-sigma", dest="x_sigma", type=float, default=None)
-    e.add_argument("--y-sigma", dest="y_sigma", type=float, default=None)
-    e.add_argument("--n-targets", dest="n_targets", type=int, default=512)
-    e.add_argument("--samples-per-target", dest="samples_per_target", type=int, default=16)
-    e.add_argument("--baseline", default=None, help="baseline model.json for a Welch comparison")
+    e.add_argument("--noise", default=RunConfig.noise, choices=NOISE_MODES)
+    e.add_argument("--x-sigma", dest="x_sigma", type=float, default=RunConfig.x_sigma)
+    e.add_argument("--y-sigma", dest="y_sigma", type=float, default=RunConfig.y_sigma)
+    e.add_argument("--n-targets", dest="n_targets", type=int, default=RunConfig.n_targets)
+    e.add_argument("--samples-per-target", dest="samples_per_target", type=int,
+                   default=RunConfig.samples_per_target)
+    e.add_argument("--baseline", help="baseline model.json for a Welch comparison")
     _add_common(e)
     e.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pipeline", help="generate + weights + train + eval from a RunConfig")
-    p.add_argument("--config", required=True, type=Path)
+    p.add_argument("--config", required=True, type=Path,
+                   help="RunConfig JSON: 'task', 'out' and any other RunConfig fields")
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -371,20 +392,26 @@ def _read_config(path) -> dict:
     return cfg
 
 
-def _apply_config_overrides(args: argparse.Namespace) -> None:
-    if getattr(args, "config", None) is None or args.command == "pipeline":
-        return
-    for key, value in _read_config(args.config).items():
-        if not hasattr(args, key) or key in ("command", "func", "config"):
-            raise UsageError(f"unknown {args.command} config field '{key}'")
-        setattr(args, key, value)
+def _checked(args: argparse.Namespace) -> argparse.Namespace:
+    """A subcommand's arguments with its --config overrides applied and its
+    settings checked, and normalized, by RunConfig."""
+    if args.config is not None:
+        for key, value in _read_config(args.config).items():
+            if not hasattr(args, key) or key in ("command", "func", "config"):
+                raise UsageError(f"unknown {args.command} config field '{key}'")
+            if key not in _SETTINGS and not isinstance(value, str):
+                raise UsageError(f"{args.command} config field '{key}' must be a path string")
+            setattr(args, key, value)
+    cfg = _run_config({k: v for k, v in vars(args).items() if k in _SETTINGS})
+    return argparse.Namespace(**{**vars(args), **asdict(cfg)})
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_overrides(args)
+        if args.command != "pipeline":
+            args = _checked(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalConfig:
-    n_targets: int = 512
+    n_targets: int = 128
     samples_per_target: int = 16
     seed: int = 0
 

@@ -127,8 +127,8 @@ def _checkerboard(d_x: int, parity: int) -> tuple[tuple[int, ...], tuple[int, ..
 def build_flow(
     d_x: int,
     d_y: int,
-    n_blocks: int = 8,
-    hidden: Sequence[int] = (128, 128),
+    n_blocks: int,
+    hidden: Sequence[int],
     activation: str = "tanh",
     clamp: float = 2.0,
     seed: int = 0,
@@ -362,7 +362,7 @@ def value_and_gradients(model: FlowModel, batch: Mapping[str, np.ndarray],
 
 @dataclass(frozen=True)
 class WnllConfig:
-    epochs: int = 100
+    epochs: int = 40
     batch_size: int = 256
     seed: int = 0
     learning_rate: float = 1e-3

@@ -18,15 +18,12 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from . import backend
-
 __all__ = [
     "MlpSpec",
     "MlpParams",
     "TrainingError",
     "init_mlp",
     "mlp_forward",
-    "mse_loss",
     "value_and_gradients",
     "FlatAdam",
     "fit_minibatch",
@@ -160,16 +157,6 @@ def _mlp_backward(params: MlpParams, x: np.ndarray, tape: Sequence[np.ndarray], 
         np.matmul((tape[li - 1] if li else x).T, d, out=grads.weights[li])
         g = d @ params.weights[li].T
     return g
-
-
-def mse_loss(y_pred: np.ndarray, y_true: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-row sum of squared coordinate differences and their batch mean."""
-    a = np.asarray(y_pred, dtype=np.float64)
-    b = np.asarray(y_true, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    rows = backend.row_sumsq_diff(a, b)
-    return rows, float(rows.mean())
 
 
 # optimizer ---------------------------------------------------------------------

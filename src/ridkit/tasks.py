@@ -37,13 +37,7 @@ __all__ = [
     "make_task",
     "task_forward",
     "prior_sample",
-    "radian_forward",
-    "clusters_forward",
-    "radius_forward",
-    "kinematics_forward",
-    "ballistics_forward",
     "kinematics_sigma_x",
-    "apply_noise",
     "apply_noise_batch",
     "generate_dataset",
 ]
@@ -126,38 +120,20 @@ def make_task(name: str) -> TaskSpec:
 # deterministic forwards -------------------------------------------------------
 
 
-def radian_forward(x) -> float:
-    """Polar angle of a 2-vector, mapped into [0, 2pi)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x[0] == 0.0 and x[1] == 0.0:
-        raise ValueError("radian_forward is undefined at the origin")
-    return float(np.mod(np.arctan2(x[1], x[0]), 2.0 * math.pi))
-
-
 def _radian_batch(x: np.ndarray) -> np.ndarray:
+    """Polar angle of each 2-vector, mapped into [0, 2pi)."""
     return np.mod(np.arctan2(x[:, 1], x[:, 0]), 2.0 * math.pi).reshape(-1, 1)
 
 
-def clusters_forward(x) -> float:
-    """Label of the nearest cluster center."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, 2)
-    return float(_clusters_batch(x)[0, 0])
-
-
 def _clusters_batch(x: np.ndarray) -> np.ndarray:
+    """Label of the nearest cluster center."""
     d2 = ((x[:, None, :] - _CLUSTER_CENTERS[None, :, :]) ** 2).sum(axis=2)
     return _CLUSTER_LABELS[np.argmin(d2, axis=1)].reshape(-1, 1)
 
 
-def radius_forward(x) -> tuple[float, int]:
+def _radius_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distance to the nearer circle center plus that cluster's id
     (0 = clean center (0, 1), 1 = noisy center (0, -1); ties go to 0)."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, 2)
-    y, cid = _radius_batch(x)
-    return float(y[0, 0]), int(cid[0])
-
-
-def _radius_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = np.sqrt(((x[:, None, :] - _RADIUS_CENTERS[None, :, :]) ** 2).sum(axis=2))
     cid = (d[:, 1] < d[:, 0]).astype(np.int64)
     return np.where(cid == 1, d[:, 1], d[:, 0]).reshape(-1, 1), cid
@@ -166,14 +142,9 @@ def _radius_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 KINEMATICS_LENGTHS = (0.5, 0.5, 1.0)
 
 
-def kinematics_forward(x) -> np.ndarray:
+def _kinematics_batch(x: np.ndarray) -> np.ndarray:
     """Endpoint of a three-segment arm mounted at height x1 on a vertical
     rail, with joint angles x2, x3, x4 accumulated along the chain."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, 4)
-    return _kinematics_batch(x)[0]
-
-
-def _kinematics_batch(x: np.ndarray) -> np.ndarray:
     a1 = x[:, 1]
     a2 = a1 + x[:, 2]
     a3 = a2 + x[:, 3]
@@ -183,14 +154,9 @@ def _kinematics_batch(x: np.ndarray) -> np.ndarray:
     return np.stack([px, py], axis=1)
 
 
-def ballistics_forward(x) -> float:
+def _ballistics_batch(x: np.ndarray) -> np.ndarray:
     """Landing abscissa of a drag-free throw from (x1, x2) at angle x3 with
     speed x4. The flight time is the nonnegative root of the height law."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, 4)
-    return float(_ballistics_batch(x)[0, 0])
-
-
-def _ballistics_batch(x: np.ndarray) -> np.ndarray:
     vy = x[:, 3] * np.sin(x[:, 2])
     vx = x[:, 3] * np.cos(x[:, 2])
     # noise can push the launch height below ground; clamping the
@@ -345,12 +311,6 @@ def apply_noise_batch(
         sy = _sigma_y(task, x_used, y, y_base).reshape(-1, 1)
         y = y + sy * rng.standard_normal(y.shape)
     return y
-
-
-def apply_noise(task: TaskSpec, noise: NoiseSpec, x, rng: np.random.Generator) -> np.ndarray:
-    """Single-design variant of apply_noise_batch; returns a (d_y,) vector."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, task.d_x)
-    return apply_noise_batch(task, noise, x, rng)[0]
 
 
 def generate_dataset(task: TaskSpec, noise: NoiseSpec, n: int, seed: int) -> Dataset:

@@ -46,7 +46,7 @@ class WeightConfig:
     eps: float = 1e-3
     surrogate_hidden: tuple[int, ...] = (64, 64)
     surrogate_activation: str = "tanh"
-    epochs: int = 60
+    epochs: int = 40
     batch_size: int = 128
     seed: int = 0
 

@@ -1,10 +1,11 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ridkit.cli import main
+from ridkit.cli import RunConfig, build_parser, main
 from ridkit.fileio import (
     DATASET_FILE,
     DATASET_META_FILE,
@@ -304,6 +305,30 @@ def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, where):
     assert "JSON object" in capsys.readouterr().err
 
 
+def test_subcommand_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "abc"}))
+    out = tmp_path / "o"
+    assert run("--config", cfg, "generate", "--task", "radian", "--n", "5", "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--task", "radian", "--n", "5"),
+    ("weights", "--dataset", "d"),
+    ("train", "--dataset", "d"),
+    ("sample", "--model", "m", "--targets", "t"),
+    ("eval", "--model", "m", "--task", "radian"),
+], ids=lambda argv: argv[0])
+def test_subcommand_defaults_are_runconfig_defaults(argv):
+    argv = [*argv, "--out", "o"]
+    names = {f.name for f in fields(RunConfig)}
+    unset = {k: v for k, v in vars(build_parser().parse_args(argv)).items()
+             if k in names and f"--{k}" not in argv}
+    assert unset and unset == {k: getattr(RunConfig, k) for k in unset}
+
+
 def test_sample_meta_names_the_model_by_hash_not_path(model_file, dataset_dir, tmp_path,
                                                      monkeypatch):
     copy = tmp_path / "elsewhere" / "copy.json"
@@ -387,18 +412,22 @@ def model_file(dataset_dir, tmp_path):
     ("weights", "--dataset", "{data}", "--k", "1"),
     ("weights", "--dataset", "{data}", "--epochs", "0"),
     ("weights", "--dataset", "{data}", "--batch-size", "0"),
+    ("weights", "--dataset", "{data}", "--threads", "0"),
     ("eval", "--model", "{model}", "--task", "radian", "--n-targets", "0"),
     ("sample", "--model", "{model}", "--targets", "{data}", "--n-per-target", "0"),
 ], ids=["generate-x-sigma", "train-epochs", "train-blocks", "train-lr", "weights-k", "weights-epochs", "weights-batch-size",
-        "eval-n-targets", "sample-n-per-target"])
+        "weights-threads", "eval-n-targets", "sample-n-per-target"])
 def test_out_of_range_flag_is_usage_error(dataset_dir, model_file, tmp_path, capsys, argv):
     argv = [a.format(data=dataset_dir, model=model_file) for a in argv]
     assert run(*argv, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("field", [{"n": "abc"}, {"hidden": 8}, {"task": "nope"}],
-                         ids=["n-not-int", "hidden-not-list", "unknown-task"])
+@pytest.mark.parametrize("field", [
+    {"n": "abc"}, {"hidden": 8}, {"task": "nope"}, {"bogus": 1}, {"flow_epochs": 0},
+    {"blocks": 0}, {"hidden": [0]}, {"n_targets": 0}, {"threads": -2},
+], ids=["n-not-int", "hidden-not-list", "unknown-task", "unknown-field", "flow-epochs-zero",
+        "blocks-zero", "hidden-zero", "n-targets-zero", "threads-negative"])
 def test_pipeline_bad_runconfig_field_is_usage_error(tmp_path, capsys, field):
     out = tmp_path / "p"
     cfg = tmp_path / "cfg.json"

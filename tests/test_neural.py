@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ridkit.backend import row_sumsq_diff
 from ridkit.neural import (
     FlatAdam,
     MlpParams,
@@ -10,10 +11,13 @@ from ridkit.neural import (
     mlp_forward,
     mlp_from_jsonable,
     mlp_to_jsonable,
-    mse_loss,
     train_regressor,
     value_and_gradients,
 )
+
+
+def _mse(y_pred, y_true) -> float:
+    return float(row_sumsq_diff(y_pred, y_true).mean())
 
 
 def test_zero_linear_model_outputs_zero():
@@ -42,29 +46,25 @@ def test_hidden_layer_bias_determines_output_at_zero():
 
 
 def test_mse_hand_values():
-    rows, mean = mse_loss(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))
-    assert mean == 0.0
-    rows, mean = mse_loss(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))
-    assert mean == 25.0
-    rows, mean = mse_loss(
-        np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([[1.0, 2.0], [3.0, 4.0]])
-    )
+    assert _mse(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]])) == 0.0
+    assert _mse(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])) == 25.0
+    rows = row_sumsq_diff(np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([[1.0, 2.0], [3.0, 4.0]]))
     np.testing.assert_allclose(rows, [[0.0], [25.0]])
-    assert mean == 12.5
+    assert rows.mean() == 12.5
 
 
 def test_mse_symmetry_and_zero_iff_equal():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((6, 3))
     b = rng.standard_normal((6, 3))
-    assert mse_loss(a, b)[1] == mse_loss(b, a)[1]
-    assert mse_loss(a, a)[1] == 0.0
-    assert mse_loss(a, b)[1] > 0.0
+    assert _mse(a, b) == _mse(b, a)
+    assert _mse(a, a) == 0.0
+    assert _mse(a, b) > 0.0
 
 
 def test_mse_shape_mismatch():
     with pytest.raises(ValueError):
-        mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
+        row_sumsq_diff(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 def _step(opt, grads):
@@ -128,8 +128,7 @@ def test_train_regressor_fits_noiseless_linear_rule():
     params, trace = train_regressor(
         MlpSpec(1, 1, (16,)), (x, y), epochs=400, batch_size=64, seed=0, weight_decay=0.0,
     )
-    _, final_mse = mse_loss(mlp_forward(params, x), y)
-    assert final_mse < 1e-3
+    assert _mse(mlp_forward(params, x), y) < 1e-3
     assert len(trace) == 400
 
 
@@ -138,8 +137,7 @@ def test_train_regressor_constant_zero_target():
     x = rng.standard_normal((200, 2))
     y = np.zeros((200, 1))
     params, _ = train_regressor(MlpSpec(2, 1, (8,)), (x, y), epochs=100, batch_size=50, seed=0)
-    _, m = mse_loss(mlp_forward(params, x), y)
-    assert m < 1e-4
+    assert _mse(mlp_forward(params, x), y) < 1e-4
 
 
 def test_train_regressor_recovers_mean_function_under_noise():
@@ -152,9 +150,9 @@ def test_train_regressor_recovers_mean_function_under_noise():
     params, _ = train_regressor(
         MlpSpec(1, 1, (32,)), (x[:3500], y[:3500]), epochs=120, batch_size=128, seed=0,
     )
-    _, held_out_mse = mse_loss(mlp_forward(params, x[3500:]), y[3500:])
+    held_out_mse = _mse(mlp_forward(params, x[3500:]), y[3500:])
     assert held_out_mse == pytest.approx(sigma**2, rel=0.5)
-    clean_err = np.sqrt(mse_loss(mlp_forward(params, x), x)[1])
+    clean_err = np.sqrt(_mse(mlp_forward(params, x), x))
     assert clean_err < sigma
 
 
@@ -195,7 +193,7 @@ def test_value_and_gradients_match_finite_differences(activation):
     batch = {"x": x, "y": y, "mean_row": np.full((1, 9), 1.0 / 9)}
     grads = params.with_arrays([np.zeros_like(a) for a in params.arrays()])
     loss = value_and_gradients(params, batch, grads)
-    assert loss == pytest.approx(mse_loss(mlp_forward(params, x), y)[1], rel=1e-12)
+    assert loss == pytest.approx(_mse(mlp_forward(params, x), y), rel=1e-12)
     h = 1e-6
     # each array params holds, perturbed in place, against its gradient
     for i, (arr, grad) in enumerate(zip(params.arrays(), grads.arrays(), strict=True)):
@@ -203,9 +201,9 @@ def test_value_and_gradients_match_finite_differences(activation):
         for ij in np.ndindex(arr.shape):
             orig = arr[ij]
             arr[ij] = orig + h
-            up = mse_loss(mlp_forward(params, x), y)[1]
+            up = _mse(mlp_forward(params, x), y)
             arr[ij] = orig - h
-            down = mse_loss(mlp_forward(params, x), y)[1]
+            down = _mse(mlp_forward(params, x), y)
             arr[ij] = orig
             fd = (up - down) / (2.0 * h)
             assert abs(grad[ij] - fd) <= 1e-6 * max(abs(fd), 1.0), (i, ij)

@@ -6,30 +6,31 @@ import pytest
 from ridkit.tasks import (
     GRAVITY,
     NoiseSpec,
-    apply_noise,
     apply_noise_batch,
-    ballistics_forward,
-    clusters_forward,
     generate_dataset,
-    kinematics_forward,
     kinematics_sigma_x,
     make_task,
     prior_sample,
-    radian_forward,
-    radius_forward,
     task_forward,
 )
 
 
+def _forward(name, x):
+    """The noiseless response of one design."""
+    return task_forward(make_task(name), np.array([x]))[0]
+
+
+def _on_noisy_radius_cluster(x) -> bool:
+    """Whether radius's n_y noise, which only the noisy cluster gets, moves x's response."""
+    task, xs = make_task("radius"), np.repeat([x], 50, axis=0)
+    draws = apply_noise_batch(task, NoiseSpec(mode="n_y"), xs, np.random.default_rng(0))
+    return not np.array_equal(draws, task_forward(task, xs))
+
+
 def test_radian_axis_points():
-    assert radian_forward([1.0, 0.0]) == 0.0
-    assert radian_forward([0.0, 1.0]) == pytest.approx(math.pi / 2)
-    assert radian_forward([-1.0, -1.0]) == pytest.approx(5 * math.pi / 4)
-
-
-def test_radian_origin_rejected():
-    with pytest.raises(ValueError):
-        radian_forward([0.0, 0.0])
+    assert _forward("radian", [1.0, 0.0]) == 0.0
+    assert _forward("radian", [0.0, 1.0]) == pytest.approx(math.pi / 2)
+    assert _forward("radian", [-1.0, -1.0]) == pytest.approx(5 * math.pi / 4)
 
 
 def test_radian_range():
@@ -40,28 +41,27 @@ def test_radian_range():
 
 
 def test_radius_center_points():
-    y, cid = radius_forward([0.0, 1.0])
-    assert y == 0.0 and cid == 0  # clean cluster
-    y, cid = radius_forward([1.0, 1.0])
-    assert y == pytest.approx(1.0) and cid == 0
-    y, cid = radius_forward([0.0, -2.0])
-    assert y == pytest.approx(1.0) and cid == 1
+    assert _forward("radius", [0.0, 1.0]) == 0.0
+    assert not _on_noisy_radius_cluster([0.0, 1.0])  # clean cluster
+    assert _forward("radius", [1.0, 1.0]) == pytest.approx(1.0)
+    assert not _on_noisy_radius_cluster([1.0, 1.0])
+    assert _forward("radius", [0.0, -2.0]) == pytest.approx(1.0)
+    assert _on_noisy_radius_cluster([0.0, -2.0])
 
 
 def test_radius_tie_goes_to_clean_center():
-    _, cid = radius_forward([5.0, 0.0])  # equidistant from both centers
-    assert cid == 0
+    assert not _on_noisy_radius_cluster([5.0, 0.0])  # equidistant from both centers
 
 
 def test_kinematics_extended_arm():
     np.testing.assert_allclose(
-        kinematics_forward([0.5, 0.0, 0.0, 0.0]), [2.0, 0.5], atol=1e-12
+        _forward("kinematics", [0.5, 0.0, 0.0, 0.0]), [2.0, 0.5], atol=1e-12
     )
 
 
 def test_kinematics_vertical_arm():
     np.testing.assert_allclose(
-        kinematics_forward([0.0, math.pi / 2, 0.0, 0.0]), [0.0, 2.0], atol=1e-12
+        _forward("kinematics", [0.0, math.pi / 2, 0.0, 0.0]), [0.0, 2.0], atol=1e-12
     )
 
 
@@ -75,17 +75,18 @@ def test_kinematics_reach_bound():
 
 
 def test_ballistics_unit_range_at_45_degrees():
-    assert ballistics_forward([0.0, 0.0, math.pi / 4, math.sqrt(GRAVITY)]) == pytest.approx(1.0)
+    y = _forward("ballistics", [0.0, 0.0, math.pi / 4, math.sqrt(GRAVITY)])
+    assert y == pytest.approx([1.0])
 
 
 def test_ballistics_zero_speed_lands_at_start():
-    assert ballistics_forward([0.7, 0.0, 0.3, 0.0]) == pytest.approx(0.7)
+    assert _forward("ballistics", [0.7, 0.0, 0.3, 0.0]) == pytest.approx([0.7])
 
 
 def test_ballistics_range_scales_with_speed_squared():
     theta = 0.6
-    r1 = ballistics_forward([0.0, 0.0, theta, 2.0])
-    r2 = ballistics_forward([0.0, 0.0, theta, 4.0])
+    r1 = _forward("ballistics", [0.0, 0.0, theta, 2.0])
+    r2 = _forward("ballistics", [0.0, 0.0, theta, 4.0])
     assert r2 == pytest.approx(4.0 * r1)
 
 
@@ -205,11 +206,11 @@ def test_kinematics_sigma_monotone_in_endpoint_height():
     assert kinematics_sigma_x(task, raised)[0] < kinematics_sigma_x(task, base)[0]
 
 
-def test_apply_noise_single_row_wrapper():
+def test_apply_noise_batch_single_row():
     task = make_task("kinematics")
     noise = NoiseSpec(mode="n_xy")
-    y = apply_noise(task, noise, [0.1, 0.2, 0.3, 0.4], np.random.default_rng(10))
-    assert y.shape == (2,)
+    y = apply_noise_batch(task, noise, np.array([[0.1, 0.2, 0.3, 0.4]]), np.random.default_rng(10))
+    assert y.shape == (1, 2)
     assert np.all(np.isfinite(y))
 
 
