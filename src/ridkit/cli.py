@@ -43,7 +43,7 @@ from .flow import (
     flow_to_jsonable,
     train_flow_wnll,
 )
-from .neural import MlpSpec, TrainingError
+from .neural import TrainingError
 from .seeding import derive_seed
 from .tasks import NOISE_MODES, TASK_NAMES, NoiseSpec, generate_dataset, make_task
 from .weights import WeightConfig, estimate_sample_robustness, robustness_to_weights
@@ -113,12 +113,12 @@ class RunConfig:
                 raise TypeError(f"{f.name} must be {f.type}, not {value!r}")
             if kind in _WIDEN:
                 object.__setattr__(self, f.name, _WIDEN[kind](value))
-        for name in ("n", "threads", "blocks"):
+        for name in ("n", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.task is not None:
             make_task(self.task)
-        MlpSpec(1, 1, self.hidden)
+        build_flow(1, 1, self.blocks, self.hidden, clamp=self.clamp)
         _noise_spec(self)
         _weight_config(self)
         _wnll_config(self)
@@ -289,6 +289,10 @@ def cmd_pipeline(args) -> int:
     cfg = _run_config(_read_config(args.config))
     if cfg.task is None or cfg.out is None:
         raise UsageError("RunConfig needs at least 'task' and 'out'")
+    try:
+        _weight_config(cfg).check_rows(cfg.n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     out = Path(cfg.out)
 
     def stage(role: str, **paths) -> argparse.Namespace:

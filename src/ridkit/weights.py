@@ -61,6 +61,11 @@ class WeightConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         object.__setattr__(self, "surrogate_hidden", tuple(int(h) for h in self.surrogate_hidden))
 
+    def check_rows(self, n: int) -> None:
+        """Raise unless a dataset of n rows splits into k_folds folds of >= 2 rows."""
+        if n < 2 * self.k_folds:
+            raise ValueError(f"dataset of {n} rows is too small for k={self.k_folds} folds")
+
     def to_jsonable(self) -> dict:
         return {
             "k_folds": self.k_folds,
@@ -159,8 +164,7 @@ def estimate_sample_robustness(
     with identical results.
     """
     n = dataset.n
-    if n < 2 * cfg.k_folds:
-        raise ValueError(f"dataset of {n} rows is too small for k={cfg.k_folds} folds")
+    cfg.check_rows(n)
     folds = kfold_split(n, cfg.k_folds, derive_seed(cfg.seed, "folds"))
     r = np.empty(n)
     if threads > 1:

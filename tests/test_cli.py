@@ -409,14 +409,16 @@ def model_file(dataset_dir, tmp_path):
     ("train", "--dataset", "{data}", "--epochs", "0"),
     ("train", "--dataset", "{data}", "--blocks", "0"),
     ("train", "--dataset", "{data}", "--lr", "-1"),
+    ("train", "--dataset", "{data}", "--clamp", "0"),
     ("weights", "--dataset", "{data}", "--k", "1"),
     ("weights", "--dataset", "{data}", "--epochs", "0"),
     ("weights", "--dataset", "{data}", "--batch-size", "0"),
     ("weights", "--dataset", "{data}", "--threads", "0"),
     ("eval", "--model", "{model}", "--task", "radian", "--n-targets", "0"),
     ("sample", "--model", "{model}", "--targets", "{data}", "--n-per-target", "0"),
-], ids=["generate-x-sigma", "train-epochs", "train-blocks", "train-lr", "weights-k", "weights-epochs", "weights-batch-size",
-        "weights-threads", "eval-n-targets", "sample-n-per-target"])
+], ids=["generate-x-sigma", "train-epochs", "train-blocks", "train-lr", "train-clamp",
+        "weights-k", "weights-epochs", "weights-batch-size", "weights-threads", "eval-n-targets",
+        "sample-n-per-target"])
 def test_out_of_range_flag_is_usage_error(dataset_dir, model_file, tmp_path, capsys, argv):
     argv = [a.format(data=dataset_dir, model=model_file) for a in argv]
     assert run(*argv, "--out", tmp_path / "o") == 2
@@ -425,9 +427,11 @@ def test_out_of_range_flag_is_usage_error(dataset_dir, model_file, tmp_path, cap
 
 @pytest.mark.parametrize("field", [
     {"n": "abc"}, {"hidden": 8}, {"task": "nope"}, {"bogus": 1}, {"flow_epochs": 0},
-    {"blocks": 0}, {"hidden": [0]}, {"n_targets": 0}, {"threads": -2},
+    {"blocks": 0}, {"hidden": [0]}, {"n_targets": 0}, {"threads": -2}, {"clamp": 0},
+    {"n": 5, "k_folds": 5},
 ], ids=["n-not-int", "hidden-not-list", "unknown-task", "unknown-field", "flow-epochs-zero",
-        "blocks-zero", "hidden-zero", "n-targets-zero", "threads-negative"])
+        "blocks-zero", "hidden-zero", "n-targets-zero", "threads-negative", "clamp-zero",
+        "too-few-rows-for-folds"])
 def test_pipeline_bad_runconfig_field_is_usage_error(tmp_path, capsys, field):
     out = tmp_path / "p"
     cfg = tmp_path / "cfg.json"
