@@ -1,6 +1,8 @@
 """Numpy implementations of the hot elementwise kernels.
 
-All arguments are 2-D float64 arrays, all results are freshly allocated.
+All arguments are 2-D arrays of one float dtype: float64 in training and
+scoring, float32 when the flow samples. Results keep that dtype and are
+freshly allocated.
 Callers look the kernels up as `backend.X` at call time, so a profiler can
 wrap them in place.
 """

@@ -273,12 +273,14 @@ def cmd_eval(args) -> int:
     model = flow_from_jsonable(read_json(Path(args.model)))
     targets = generate_dataset(task, noise, cfg.n_targets, derive_seed(args.seed, "targets")).y
     report = resimulation_error(model, task, noise, targets, cfg, method="weighted-flow")
+    inputs = {"model_sha256": sha256_of(Path(args.model))}
     if args.baseline is not None:
         base_model = flow_from_jsonable(read_json(Path(args.baseline)))
         base = resimulation_error(base_model, task, noise, targets, cfg, method="baseline-flow")
         t, p = welch_t_test(report.per_target_losses, base.per_target_losses)
         report = replace(report, comparison={"baseline_mse": base.mse, "t": t, "p": p})
-    write_json(_out_dir(args) / REPORT_FILE, report.to_jsonable())
+        inputs["baseline_sha256"] = sha256_of(Path(args.baseline))
+    write_json(_out_dir(args) / REPORT_FILE, {**report.to_jsonable(), **inputs})
     print(f"mse={report.mse:.6f} std_error={report.std_error:.6f} "
           f"wall_clock={report.wall_clock_seconds:.2f}s")
     return EXIT_OK

@@ -46,8 +46,8 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# flow_forward rows per tile: a 64-wide float64 activation of this many rows
-# is 512 KiB, which stays in L2
+# flow_forward rows per tile: a 64-wide activation of this many rows is
+# 256 KiB in float32 (sampling) and 512 KiB in float64, which stays in L2
 _TILE_ROWS = 1024
 
 
@@ -68,8 +68,8 @@ class CouplingBlock:
     t_params: MlpParams
 
     def __post_init__(self):
-        if self.clamp <= 0:
-            raise ValueError("clamp must be positive")
+        if not 0 < self.clamp < math.inf:
+            raise ValueError("clamp must be finite and positive")
         if not self.active:
             raise ValueError("a coupling block must transform at least one coordinate")
         overlap = set(self.active) & set(self.passive)
@@ -179,9 +179,11 @@ def _subnet_outputs(block: CouplingBlock, u_passive: np.ndarray, cond: np.ndarra
 def coupling_forward(
     block: CouplingBlock, u: np.ndarray, cond: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Applies the block; returns (v, per-row log-det column)."""
-    u = np.asarray(u, dtype=np.float64)
-    cond = np.asarray(cond, dtype=np.float64)
+    """Applies the block in the dtype of its subnet parameters; returns
+    (v, per-row log-det column)."""
+    dtype = block.s_params.weights[0].dtype
+    u = np.asarray(u, dtype=dtype)
+    cond = np.asarray(cond, dtype=dtype)
     if u.shape[0] != cond.shape[0]:
         raise ValueError("u and cond need equal row counts")
     s_raw, t = _subnet_outputs(block, u[:, list(block.passive)], cond)
@@ -255,19 +257,21 @@ def flow_forward(
     The log-det covers the full z -> x map, including the fixed
     de-standardization scale. Rows run through all blocks in tiles of
     _TILE_ROWS, so each layer's activations stay in cache however many rows
-    come in.
+    come in. The blocks compute in the dtype of the subnet parameters; the
+    standardization and both results stay float64.
     """
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if z.shape[0] != y.shape[0]:
         raise ValueError("z and y need equal row counts")
+    dtype = model.blocks[0].s_params.weights[0].dtype
     n = z.shape[0]
     x = np.empty((n, model.d_x))
     logdet = np.empty((n, 1))
     for start in range(0, n, _TILE_ROWS):
         rows = slice(start, start + _TILE_ROWS)
-        cond = (y[rows] - model.y_shift) / model.y_scale
-        u, ld = z[rows], 0.0
+        cond = ((y[rows] - model.y_shift) / model.y_scale).astype(dtype, copy=False)
+        u, ld = z[rows].astype(dtype, copy=False), 0.0
         for blk, perm in zip(model.blocks, model.perms):
             u = u[:, list(perm)]
             u, blk_ld = coupling_forward(blk, u, cond)
@@ -279,14 +283,24 @@ def flow_forward(
 
 def flow_sample(model: FlowModel, y: np.ndarray, n_per_row: int, seed: int) -> np.ndarray:
     """n_per_row designs per condition row; row i's samples occupy rows
-    [i*n_per_row, (i+1)*n_per_row) of the result."""
+    [i*n_per_row, (i+1)*n_per_row) of the result.
+
+    The latents are drawn in float64 and the designs come back in float64,
+    but the coupling blocks run on a float32 copy of the subnet arrays:
+    float32 matmul and tanh cost a fraction of float64 ones, and the
+    rounding they add sits far below the spread of re-simulation losses.
+    """
     if n_per_row < 1:
         raise ValueError("n_per_row must be >= 1")
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    with np.errstate(over="ignore"):
+        fast = model.with_arrays([a.astype(np.float32) for a in model.arrays()])
+    if not all(np.isfinite(a).all() for a in fast.arrays()):
+        raise ValueError("flow parameters overflow float32")
     rng = np.random.default_rng(seed)
     y_rep = np.repeat(y, n_per_row, axis=0)
     z = rng.standard_normal((y_rep.shape[0], model.d_x))
-    x, _ = flow_forward(model, z, y_rep)
+    x, _ = flow_forward(fast, z, y_rep)
     return x
 
 
@@ -457,7 +471,9 @@ def flow_to_jsonable(model: FlowModel) -> dict:
 
 def flow_from_jsonable(doc: dict) -> FlowModel:
     """Inverse of flow_to_jsonable. Raises ValueError for a document that is
-    not a coupling-flow model or misses or mistypes one of its fields."""
+    not a coupling-flow model, misses or mistypes one of its fields, holds
+    a non-finite number or a non-positive scale or clamp, or masks a
+    coordinate twice or one outside 0..d_x-1."""
     if not isinstance(doc, dict) or doc.get("kind") != "coupling-flow":
         raise ValueError("not a coupling-flow model document")
     if doc.get("format_version") != FLOW_FORMAT_VERSION:
@@ -468,6 +484,8 @@ def flow_from_jsonable(doc: dict) -> FlowModel:
         blocks = []
         for mask, nets in zip(doc["masks"], doc["subnets"]):
             active = tuple(int(i) for i in mask)
+            if len(set(active)) != len(active) or not set(active) <= set(range(d_x)):
+                raise ValueError(f"coupling-flow mask {list(active)} is not a set of coordinates")
             passive = tuple(i for i in range(d_x) if i not in active)
             blocks.append(
                 CouplingBlock(
@@ -480,7 +498,12 @@ def flow_from_jsonable(doc: dict) -> FlowModel:
             )
 
         def row(key, d):
-            return np.asarray(doc[key], dtype=np.float64).reshape(1, d)
+            a = np.asarray(doc[key], dtype=np.float64).reshape(1, d)
+            if not np.isfinite(a).all():
+                raise ValueError(f"coupling-flow {key} must be finite")
+            if key.endswith("scale") and np.any(a <= 0):
+                raise ValueError(f"coupling-flow {key} must be positive")
+            return a
 
         return FlowModel(
             d_x=d_x,

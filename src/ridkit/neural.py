@@ -103,14 +103,15 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator, zero_final: bool = False) 
 
 
 def mlp_forward(params: MlpParams, x_batch: np.ndarray, tape: list | None = None) -> np.ndarray:
-    """Network output for a batch of rows.
+    """Network output for a batch of rows, computed in the dtype of the
+    parameters.
 
     With a list for `tape`, records every layer's output in it, the input of
     the reverse pass _mlp_backward. A layer output already in the list with
     the right shape is rewritten in place, so a training loop that passes
     the same list every step keeps its activations in the same buffers.
     """
-    x = np.asarray(x_batch, dtype=np.float64)
+    x = np.asarray(x_batch, dtype=params.weights[0].dtype)
     if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
         raise ValueError(f"x_batch shape {x.shape} does not match input_dim {params.spec.input_dim}")
     relu = params.spec.activation == "relu"
@@ -361,6 +362,8 @@ def mlp_to_jsonable(params: MlpParams) -> dict:
 
 
 def mlp_from_jsonable(doc: dict) -> MlpParams:
+    """Inverse of mlp_to_jsonable. Raises ValueError for a non-finite weight
+    or bias."""
     if doc.get("format_version") != MLP_FORMAT_VERSION:
         raise ValueError(f"unsupported mlp format_version {doc.get('format_version')}")
     s = doc["spec"]
@@ -369,4 +372,7 @@ def mlp_from_jsonable(doc: dict) -> MlpParams:
     for (din, dout), layer in zip(spec.layer_dims, doc["layers"]):
         weights.append(np.asarray(layer["weight"], dtype=np.float64).reshape(din, dout))
         biases.append(np.asarray(layer["bias"], dtype=np.float64).reshape(1, dout))
-    return MlpParams(spec, tuple(weights), tuple(biases))
+    params = MlpParams(spec, tuple(weights), tuple(biases))
+    if not all(np.isfinite(a).all() for a in params.arrays()):
+        raise ValueError("mlp weights and biases must be finite")
+    return params

@@ -126,6 +126,8 @@ def test_eval_with_baseline_adds_comparison(dataset_dir, tmp_path):
     rep = read_json(eval_dir / REPORT_FILE)
     assert set(rep["comparison"]) == {"baseline_mse", "t", "p"}
     assert 0.0 <= rep["comparison"]["p"] <= 1.0
+    assert rep["model_sha256"] == sha256_of(m1 / MODEL_FILE)
+    assert rep["baseline_sha256"] == sha256_of(m2 / MODEL_FILE)
 
 
 def test_model_vs_itself_gives_p_one(dataset_dir, tmp_path):
@@ -384,11 +386,28 @@ def _model_without_blocks(tmp_path, model_file, data, out):
     return ("sample", "--model", bad, "--targets", data, "--out", out)
 
 
+def _model_nan_weight(tmp_path, model_file, data, out):
+    doc = read_json(model_file)
+    doc["subnets"][0]["s"]["layers"][0]["weight"][0] = float("nan")
+    bad = tmp_path / "nan_weight.json"
+    bad.write_text(json.dumps(doc))
+    return ("sample", "--model", bad, "--targets", data, "--out", out)
+
+
+def _model_zero_scale(tmp_path, model_file, data, out):
+    doc = read_json(model_file)
+    doc["x_scale"][0] = 0.0
+    bad = tmp_path / "zero_scale.json"
+    bad.write_text(json.dumps(doc))
+    return ("eval", "--model", bad, "--task", "radian", "--n-targets", "4", "--out", out)
+
+
 @pytest.mark.parametrize("make_argv", [
     _non_finite_target, _meta_without_task, _sample_with_non_model, _eval_with_non_model,
-    _model_missing_field, _model_without_blocks,
+    _model_missing_field, _model_without_blocks, _model_nan_weight, _model_zero_scale,
 ], ids=["sample-nan-target", "train-meta-without-task", "sample-non-model",
-        "eval-non-model", "eval-baseline-missing-field", "sample-model-without-blocks"])
+        "eval-non-model", "eval-baseline-missing-field", "sample-model-without-blocks",
+        "sample-model-nan-weight", "eval-model-zero-scale"])
 def test_malformed_input_is_data_error(model_file, dataset_dir, tmp_path, capsys, make_argv):
     out = tmp_path / "o"
     assert run(*make_argv(tmp_path, model_file, dataset_dir, out)) == 3

@@ -253,6 +253,16 @@ def test_tiled_forward_matches_untiled(n):
     np.testing.assert_allclose(ld, ld_ref, rtol=1e-12)
 
 
+def _assert_within_float32_rounding(x, x_ref, model):
+    """x is x_ref up to float32 rounding: eps/2 for each multiply-add of
+    every subnet layer the flow runs, each scaled by up to e^clamp by the
+    block it feeds, relative to the largest |x_ref|."""
+    roundings = sum(din for blk in model.blocks for net in (blk.s_params, blk.t_params)
+                    for din, _ in net.spec.layer_dims)
+    tol = roundings * np.finfo(np.float32).eps / 2 * math.exp(model.blocks[0].clamp)
+    np.testing.assert_allclose(x, x_ref, rtol=0, atol=tol * np.abs(x_ref).max())
+
+
 def test_tiled_sample_draws_the_untiled_latents_and_repeats_bitwise():
     model = _standardized(_randomized(build_flow(3, 2, n_blocks=3, hidden=(16,), seed=34),
                                       seed=35), seed=36)
@@ -260,8 +270,29 @@ def test_tiled_sample_draws_the_untiled_latents_and_repeats_bitwise():
     a = flow_sample(model, y, 2, seed=38)
     np.testing.assert_array_equal(a, flow_sample(model, y, 2, seed=38))
     z = np.random.default_rng(38).standard_normal((a.shape[0], 3))
-    np.testing.assert_allclose(a, _untiled_forward(model, z, np.repeat(y, 2, axis=0))[0],
-                               rtol=1e-12)
+    f32 = model.with_arrays([a.astype(np.float32) for a in model.arrays()])
+    _assert_within_float32_rounding(a, _untiled_forward(f32, z, np.repeat(y, 2, axis=0))[0],
+                                    model)
+
+
+def test_sample_runs_float32_within_rounding_of_the_float64_forward():
+    model = _standardized(_randomized(build_flow(3, 2, n_blocks=3, hidden=(32, 32), seed=40),
+                                      seed=41), seed=42)
+    y = np.random.default_rng(43).standard_normal((300, 2))
+    x = flow_sample(model, y, 4, seed=44)
+    z = np.random.default_rng(44).standard_normal((x.shape[0], 3))
+    x64, _ = flow_forward(model, z, np.repeat(y, 4, axis=0))
+    assert x.dtype == np.float64
+    assert not np.array_equal(x, x64)  # the blocks ran in float32
+    _assert_within_float32_rounding(x, x64, model)
+
+
+def test_sample_rejects_parameters_that_overflow_float32():
+    model = build_flow(2, 1, n_blocks=1, hidden=(4,), seed=0)
+    arrays = model.arrays()
+    arrays[0] = np.full_like(arrays[0], 1e39)
+    with pytest.raises(ValueError, match="overflow float32"):
+        flow_sample(model.with_arrays(arrays), np.zeros((1, 1)), 2, seed=0)
 
 
 def test_forward_rejects_unequal_row_counts():
@@ -381,3 +412,18 @@ def test_flow_serialization_round_trip():
     np.testing.assert_array_equal(
         flow_sample(model, y, 3, seed=1), flow_sample(back, y, 3, seed=1)
     )
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("x_scale", [1.0, 0.0], "x_scale must be positive"),
+    ("y_shift", [float("nan")], "y_shift must be finite"),
+    ("clamp", float("nan"), "clamp must be finite and positive"),
+    ("clamp", float("inf"), "clamp must be finite and positive"),
+    ("masks", [[0, 0], [1]], "not a set of coordinates"),
+    ("masks", [[7], [1]], "not a set of coordinates"),
+])
+def test_flow_from_jsonable_rejects_invalid_numbers_and_masks(key, value, match):
+    doc = flow_to_jsonable(build_flow(2, 1, n_blocks=2, hidden=(4,), seed=0))
+    doc[key] = value
+    with pytest.raises(ValueError, match=match):
+        flow_from_jsonable(doc)

@@ -291,3 +291,14 @@ def test_in_place_forward_bitwise_equals_fresh_arrays(activation):
     x_before = x.copy()
     np.testing.assert_array_equal(mlp_forward(params, x), h)
     np.testing.assert_array_equal(x, x_before)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_computes_in_the_parameter_dtype(dtype):
+    params = init_mlp(MlpSpec(3, 2, (8,)), np.random.default_rng(23))
+    cast = params.with_arrays([a.astype(dtype) for a in params.arrays()])
+    x = np.random.default_rng(24).standard_normal((5, 3))
+    out = mlp_forward(cast, x)
+    assert out.dtype == dtype
+    np.testing.assert_allclose(out, mlp_forward(params, x), rtol=0,
+                               atol=64 * np.finfo(dtype).eps)
