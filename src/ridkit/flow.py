@@ -307,16 +307,24 @@ def flow_sample(model: FlowModel, y: np.ndarray, n_per_row: int, seed: int) -> n
 # log-density ---------------------------------------------------------------------
 
 
+def _standardized(a: np.ndarray, shift: np.ndarray, scale: np.ndarray, dtype) -> np.ndarray:
+    """(a - shift) / scale, computed in float64 and cast to dtype."""
+    return ((a + -shift) * (1.0 / scale)).astype(dtype, copy=False)
+
+
 def _to_latent(model: FlowModel, x: np.ndarray, y: np.ndarray,
                tape: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Inverse pass x -> z. Returns z and the per-row log-det of the
     standardized forward map, summed over blocks n-1 ... 0.
 
-    With a list for `tape`, its k-th entry becomes the record of the k-th
-    block inverted (block n-1-k); entries from an earlier call are reused.
+    The standardization runs in float64; the blocks, and so z and the
+    log-det, compute in the dtype of the subnet parameters. With a list for
+    `tape`, its k-th entry becomes the record of the k-th block inverted
+    (block n-1-k); entries from an earlier call are reused.
     """
-    xs = (x + -model.x_shift) * (1.0 / model.x_scale)
-    ys = (y + -model.y_shift) * (1.0 / model.y_scale)
+    dtype = model.blocks[0].s_params.weights[0].dtype
+    xs = _standardized(x, model.x_shift, model.x_scale, dtype)
+    ys = _standardized(y, model.y_shift, model.y_scale, dtype)
     cur, log_det = xs, None
     for k, li in enumerate(reversed(range(len(model.blocks)))):
         if tape is not None and k == len(tape):
@@ -348,13 +356,16 @@ def flow_log_prob(model: FlowModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def value_and_gradients(model: FlowModel, batch: Mapping[str, np.ndarray],
                         grads: FlowModel, tape: list | None = None) -> float:
-    """Weighted batch NLL, w_row @ -log q(x | y), and its gradient.
+    """Weighted batch NLL, w_row @ -log q(x | y), and its gradient, computed
+    in the dtype of the subnet parameters.
 
     `batch` holds the rows "x" and "y" and "w_row", a (1, batch) row of
-    per-sample weight / batch size. Writes the gradient of every subnet
-    array into the matching array of `grads` and returns the loss. `tape`
-    may carry the block records of an earlier call for reuse (see
-    _to_latent).
+    per-sample weight / batch size; they are cast to the parameter dtype
+    (x and y after standardization), and only the final weighted sum of
+    the per-row NLLs into the loss runs in float64. Writes the gradient of
+    every subnet array into the matching array of `grads` and returns the
+    loss. `tape` may carry the block records of an earlier call for reuse
+    (see _to_latent).
     """
     w_row = batch["w_row"]
     if tape is None:
@@ -362,8 +373,8 @@ def value_and_gradients(model: FlowModel, batch: Mapping[str, np.ndarray],
     z, log_det = _to_latent(model, batch["x"], batch["y"], tape)
     loss = w_row @ -_log_q(model, z, log_det)
     # d(-log q) is w*z through z*z (one term per factor) and w through each log-det
-    g_ld = w_row.T
-    g = (w_row.T * 0.5) * z
+    g_ld = w_row.astype(z.dtype, copy=False).T
+    g = (g_ld * 0.5) * z
     g_cur = g + g
     for li, record in enumerate(reversed(tape)):
         g_u = g_cur[:, list(model.perms[li])]
@@ -428,8 +439,14 @@ def train_flow_wnll(
         if not np.isfinite(w).all() or np.any(w <= 0):
             raise ValueError("weights must be finite and positive")
 
-    x_shift, x_scale = _standardize_stats(x)
-    y_shift, y_scale = _standardize_stats(y)
+    # the steps run on float32 casts of the standardized rows (see _to_latent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_shift, x_scale = _standardize_stats(x)
+        y_shift, y_scale = _standardize_stats(y)
+        rows = (_standardized(x, x_shift, x_scale, np.float32),
+                _standardized(y, y_shift, y_scale, np.float32))
+    if not all(np.isfinite(a).all() for a in (x_scale, y_scale, *rows)):
+        raise ValueError("x and y do not standardize to finite float32 values")
     work = replace(model, x_shift=x_shift, x_scale=x_scale, y_shift=y_shift, y_scale=y_scale)
     rng = np.random.default_rng(cfg.seed)
 
@@ -472,8 +489,9 @@ def flow_to_jsonable(model: FlowModel) -> dict:
 def flow_from_jsonable(doc: dict) -> FlowModel:
     """Inverse of flow_to_jsonable. Raises ValueError for a document that is
     not a coupling-flow model, misses or mistypes one of its fields, holds
-    a non-finite number or a non-positive scale or clamp, or masks a
-    coordinate twice or one outside 0..d_x-1."""
+    a non-finite number or a non-positive scale or clamp, masks a
+    coordinate twice or one outside 0..d_x-1, or gives masks, subnets,
+    permutations or subnet layers in counts that do not match."""
     if not isinstance(doc, dict) or doc.get("kind") != "coupling-flow":
         raise ValueError("not a coupling-flow model document")
     if doc.get("format_version") != FLOW_FORMAT_VERSION:
@@ -481,6 +499,9 @@ def flow_from_jsonable(doc: dict) -> FlowModel:
     try:
         d_x, d_y = int(doc["d_x"]), int(doc["d_y"])
         clamp = float(doc["clamp"])
+        if len(doc["masks"]) != len(doc["subnets"]):
+            raise ValueError(f"coupling-flow has {len(doc['masks'])} masks for "
+                             f"{len(doc['subnets'])} subnets")
         blocks = []
         for mask, nets in zip(doc["masks"], doc["subnets"]):
             active = tuple(int(i) for i in mask)

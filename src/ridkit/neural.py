@@ -36,7 +36,8 @@ _ACTIVATIONS = ("tanh", "relu")
 
 
 class TrainingError(Exception):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or parameter, or met rows it
+    cannot represent."""
 
 
 @dataclass(frozen=True)
@@ -193,12 +194,19 @@ def _adam_update(p, g, m, v, t, lr, wd, tmp, tmp2) -> None:
 
 
 class FlatAdam:
-    """Adam over parameters held in one flat buffer and updated in place.
+    """Mixed-precision Adam over parameters held in one flat buffer and
+    updated in place.
 
-    Parameters, gradients and both moments each live in a single float64
-    buffer; `views` cuts a buffer into arrays shaped like the ones given at
-    construction, so callers write gradients into views of `grads` and
-    read every update from views of `params` without copies.
+    The master copy of the parameters (`params`), the gradients Adam reads
+    (`grads`) and both moments each live in a single float64 buffer, and
+    every update is float64 arithmetic. Beside them sit `params32`, a
+    float32 copy of `params` that every step refreshes, and `grads32`, a
+    float32 gradient buffer: a training step runs its forward and reverse
+    passes over views of these two, then casts `grads32` up into `grads`
+    before the step. `views` cuts any of the buffers into arrays shaped
+    like the ones given at construction, so callers write gradients into
+    views of a gradient buffer and read every update from views of a
+    parameter buffer without copies.
     """
 
     def __init__(self, arrays: Sequence[np.ndarray], learning_rate: float = 1e-3,
@@ -212,6 +220,11 @@ class FlatAdam:
         self.grads, self._m, self._v, self._tmp, self._tmp2 = (
             np.zeros_like(self.params) for _ in range(5)
         )
+        with np.errstate(over="ignore"):
+            self.params32 = self.params.astype(np.float32)
+        if not np.isfinite(self.params32).all():
+            raise ValueError("parameters must be finite and fit float32")
+        self.grads32 = np.zeros_like(self.params32)
         self.step_count = 0
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
@@ -223,15 +236,22 @@ class FlatAdam:
         return out
 
     def step(self) -> None:
-        """Applies one update from the gradients held in `grads`.
+        """Applies one update from the gradients held in `grads` and
+        refreshes `params32`.
 
-        Raises TrainingError when the update leaves a non-finite parameter.
+        Raises TrainingError naming the step when the update leaves a
+        non-finite parameter or one that overflows float32.
         """
         self.step_count += 1
         _adam_update(self.params, self.grads, self._m, self._v, self.step_count,
                      self.learning_rate, self.weight_decay, self._tmp, self._tmp2)
-        if not np.isfinite(self.params).all():
-            raise TrainingError(f"non-finite parameters after Adam step {self.step_count}")
+        with np.errstate(over="ignore"):
+            np.copyto(self.params32, self.params, casting="same_kind")
+        # a non-finite float64 parameter stays non-finite in the copy
+        if not np.isfinite(self.params32).all():
+            what = ("non-finite parameters" if not np.isfinite(self.params).all()
+                    else "parameters overflow float32")
+            raise TrainingError(f"{what} after Adam step {self.step_count}")
 
 
 # regression loss ----------------------------------------------------------------
@@ -239,21 +259,25 @@ class FlatAdam:
 
 def value_and_gradients(params: MlpParams, batch: Mapping[str, np.ndarray],
                         grads: MlpParams, tape: list | None = None) -> float:
-    """Batch-mean squared error of the MLP and its gradient.
+    """Batch-mean squared error of the MLP and its gradient, computed in the
+    dtype of the parameters.
 
     `batch` holds the rows "x" and "y" and "mean_row", a (1, batch) row of
-    1/batch entries. Writes the gradient of every parameter array into the
-    matching array of `grads` and returns the loss. `tape` may carry the
-    layer outputs of an earlier call for reuse (see mlp_forward).
+    1/batch entries; they are cast to the parameter dtype, and only the
+    final sum of the per-row errors into the loss runs in float64. Writes
+    the gradient of every parameter array into the matching array of
+    `grads` and returns the loss. `tape` may carry the layer outputs of an
+    earlier call for reuse (see mlp_forward).
     """
-    x = batch["x"]
+    dtype = params.weights[0].dtype
+    x = np.asarray(batch["x"], dtype=dtype)
     mean_row = batch["mean_row"]
     if tape is None:
         tape = []
-    diff = mlp_forward(params, x, tape) - batch["y"]
+    diff = mlp_forward(params, x, tape) - np.asarray(batch["y"], dtype=dtype)
     loss = mean_row @ (diff * diff).sum(axis=1, keepdims=True)
     # d(diff*diff) is g*diff + diff*g, one term per factor
-    g = mean_row.T * diff
+    g = mean_row.astype(dtype, copy=False).T * diff
     _mlp_backward(params, x, tape, g + g, grads)
     return float(loss[0, 0])
 
@@ -275,23 +299,25 @@ def fit_minibatch(
     learning_rate: float,
     weight_decay: float,
 ) -> tuple[Model, list[float]]:
-    """Minibatch Adam on a batch-mean scalar loss.
+    """Minibatch Adam on a batch-mean scalar loss, in mixed precision.
 
-    The arrays of `model` are not modified: training runs on a copy of the
-    model over views of the optimizer's parameter buffer, and a second
-    model of the same layout over views of its gradient buffer holds the
-    gradients. Each epoch draws one rng.permutation(n) and cuts it into
-    batches; batch(idx) returns the data for the rows idx and may draw
-    from rng itself. value_and_grads(model, batch, grads, tape) returns the
-    loss and writes every gradient array into `grads`; `tape` is one list
-    passed to every step, in which the forward pass keeps its activations,
-    so a step rewrites the previous step's buffers instead of allocating
-    (and, for large batches, page-faulting in) fresh ones. Returns the
-    trained model and the per-epoch mean loss.
+    The arrays of `model` are not modified. Each step runs on a copy of the
+    model over float32 views of the optimizer's parameters (FlatAdam's
+    params32), and a second model of the same layout over views of its
+    float32 gradient buffer holds the gradients; the gradients are cast up
+    and Adam updates the float64 master copy, which is what comes back.
+    Each epoch draws one rng.permutation(n) and cuts it into batches;
+    batch(idx) returns the data for the rows idx and may draw from rng
+    itself. value_and_grads(model, batch, grads, tape) returns the loss and
+    writes every gradient array into `grads`; `tape` is one list passed to
+    every step, in which the forward pass keeps its activations, so a step
+    rewrites the previous step's buffers instead of allocating (and, for
+    large batches, page-faulting in) fresh ones. Returns the trained model
+    and the per-epoch mean loss.
     """
     opt = FlatAdam(model.arrays(), learning_rate, weight_decay)
-    trained = model.with_arrays(opt.views(opt.params))
-    grads = model.with_arrays(opt.views(opt.grads))
+    work = model.with_arrays(opt.views(opt.params32))
+    grads = model.with_arrays(opt.views(opt.grads32))
     tape: list = []
     trace: list[float] = []
     for epoch in range(epochs):
@@ -299,13 +325,14 @@ def fit_minibatch(
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            loss = value_and_grads(trained, batch(idx), grads, tape)
+            loss = value_and_grads(work, batch(idx), grads, tape)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             epoch_loss += loss * idx.size
+            np.copyto(opt.grads, opt.grads32)
             opt.step()
         trace.append(epoch_loss / n)
-    return trained, trace
+    return model.with_arrays(opt.views(opt.params)), trace
 
 
 def train_regressor(
@@ -317,9 +344,11 @@ def train_regressor(
     learning_rate: float = 1e-3,
     weight_decay: float = 1e-5,
 ) -> tuple[MlpParams, list[float]]:
-    """Minibatch Adam on batch-mean MSE; reproducible under the seed.
+    """Minibatch Adam on batch-mean MSE, with float32 forward and reverse
+    passes (see fit_minibatch); reproducible under the seed.
 
-    Returns the final parameters and the per-epoch mean training MSE.
+    Returns the final float64 parameters and the per-epoch mean training
+    MSE. Raises TrainingError when a training row overflows float32.
     """
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train)
     n = x_train.shape[0]
@@ -329,10 +358,17 @@ def train_regressor(
         raise ValueError("training data does not match spec dims")
     if not (np.isfinite(x_train).all() and np.isfinite(y_train).all()):
         raise ValueError("training data must be finite")
+    # the steps compute in float32 (see fit_minibatch), so the rows are cast
+    # once; rows beyond float32 fail as training does on rows whose squared
+    # error overflows float64
+    with np.errstate(over="ignore"):
+        x32, y32 = x_train.astype(np.float32), y_train.astype(np.float32)
+    if not (np.isfinite(x32).all() and np.isfinite(y32).all()):
+        raise TrainingError("training rows overflow float32")
     rng = np.random.default_rng(seed)
 
     def batch(idx: np.ndarray) -> dict[str, np.ndarray]:
-        return {"x": x_train[idx], "y": y_train[idx],
+        return {"x": x32[idx], "y": y32[idx],
                 "mean_row": np.full((1, idx.size), 1.0 / idx.size)}
 
     return fit_minibatch(value_and_gradients, init_mlp(spec, rng), batch, n,
@@ -362,12 +398,15 @@ def mlp_to_jsonable(params: MlpParams) -> dict:
 
 
 def mlp_from_jsonable(doc: dict) -> MlpParams:
-    """Inverse of mlp_to_jsonable. Raises ValueError for a non-finite weight
-    or bias."""
+    """Inverse of mlp_to_jsonable. Raises ValueError for a layer count that
+    does not match the spec or a non-finite weight or bias."""
     if doc.get("format_version") != MLP_FORMAT_VERSION:
         raise ValueError(f"unsupported mlp format_version {doc.get('format_version')}")
     s = doc["spec"]
     spec = MlpSpec(s["input_dim"], s["output_dim"], tuple(s["hidden"]), s["activation"])
+    if len(doc["layers"]) != len(spec.layer_dims):
+        raise ValueError(f"mlp has {len(doc['layers'])} layers for a spec of "
+                         f"{len(spec.layer_dims)}")
     weights, biases = [], []
     for (din, dout), layer in zip(spec.layer_dims, doc["layers"]):
         weights.append(np.asarray(layer["weight"], dtype=np.float64).reshape(din, dout))

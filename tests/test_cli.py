@@ -402,12 +402,33 @@ def _model_zero_scale(tmp_path, model_file, data, out):
     return ("eval", "--model", bad, "--task", "radian", "--n-targets", "4", "--out", out)
 
 
+def _model_extra_subnet(tmp_path, model_file, data, out):
+    # one more subnet than masks and permutations: loading must not drop it
+    doc = read_json(model_file)
+    doc["subnets"].append(doc["subnets"][-1])
+    bad = tmp_path / "extra_subnet.json"
+    bad.write_text(json.dumps(doc))
+    return ("sample", "--model", bad, "--targets", data, "--out", out)
+
+
+def _model_extra_layer(tmp_path, model_file, data, out):
+    # one more layer than the subnet's spec has: loading must not drop it
+    doc = read_json(model_file)
+    layers = doc["subnets"][0]["s"]["layers"]
+    layers.append(layers[-1])
+    bad = tmp_path / "extra_layer.json"
+    bad.write_text(json.dumps(doc))
+    return ("sample", "--model", bad, "--targets", data, "--out", out)
+
+
 @pytest.mark.parametrize("make_argv", [
     _non_finite_target, _meta_without_task, _sample_with_non_model, _eval_with_non_model,
     _model_missing_field, _model_without_blocks, _model_nan_weight, _model_zero_scale,
+    _model_extra_subnet, _model_extra_layer,
 ], ids=["sample-nan-target", "train-meta-without-task", "sample-non-model",
         "eval-non-model", "eval-baseline-missing-field", "sample-model-without-blocks",
-        "sample-model-nan-weight", "eval-model-zero-scale"])
+        "sample-model-nan-weight", "eval-model-zero-scale", "sample-model-extra-subnet",
+        "sample-model-extra-layer"])
 def test_malformed_input_is_data_error(model_file, dataset_dir, tmp_path, capsys, make_argv):
     out = tmp_path / "o"
     assert run(*make_argv(tmp_path, model_file, dataset_dir, out)) == 3

@@ -384,6 +384,17 @@ def test_wnll_validates_weights():
             train_flow_wnll(model, x, y, np.array([1.0, 1.0, bad, 1.0]), WnllConfig(epochs=1))
 
 
+def test_wnll_rejects_rows_whose_standardization_overflows():
+    # finite rows whose spread overflows the float64 variance, so their
+    # standardization is not finite
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((8, 2))
+    x[:, 0] *= 1e200
+    model = build_flow(2, 1, n_blocks=2, hidden=(4,), seed=0)
+    with pytest.raises(ValueError, match="do not standardize to finite float32"):
+        train_flow_wnll(model, x, rng.standard_normal((8, 1)), None, WnllConfig(epochs=1))
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_wnll_non_finite_loss_names_the_epoch():
     # finite weights near the float64 limit overflow the weighted batch sum

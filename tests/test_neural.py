@@ -274,6 +274,26 @@ def test_flat_adam_rejects_non_finite_parameters():
         _step(flat, [np.full((2, 2), np.inf)])
 
 
+def test_flat_adam_rejects_parameters_that_overflow_float32():
+    with pytest.raises(ValueError, match="fit float32"):
+        FlatAdam([np.zeros((2, 2)), np.full((1, 2), 1e39)])
+
+
+def test_flat_adam_names_the_step_whose_parameters_overflow_float32():
+    # 3.4e38 fits float32; one step of size 1e37 takes it past the maximum
+    flat = FlatAdam([np.full((2, 2), 3.4e38)], learning_rate=1e37, weight_decay=0.0)
+    with pytest.raises(TrainingError, match="parameters overflow float32 after Adam step 1"):
+        _step(flat, [np.full((2, 2), -1.0)])
+
+
+def test_train_regressor_rejects_rows_that_overflow_float32():
+    # finite in float64, infinite once cast for the float32 training passes
+    x = np.zeros((10, 2))
+    x[3, 0] = 1e39
+    with pytest.raises(TrainingError, match="overflow float32"):
+        train_regressor(MlpSpec(2, 1, (4,)), (x, np.zeros((10, 1))), 1, 8, 0)
+
+
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_in_place_forward_bitwise_equals_fresh_arrays(activation):
     rng = np.random.default_rng(22)
