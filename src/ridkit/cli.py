@@ -11,16 +11,18 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from .evaluation import EvalConfig, resimulation_error, welch_t_test
 from .fileio import (
     MODEL_FILE,
     REPORT_FILE,
     SAMPLES_FILE,
+    SAMPLES_FORMAT_VERSION,
     SAMPLES_META_FILE,
     TRACE_FILE,
     WEIGHTS_FILE,
@@ -33,6 +35,7 @@ from .fileio import (
     sha256_of,
     write_dataset,
     write_json,
+    write_samples,
     write_weights,
 )
 from .flow import (
@@ -56,6 +59,18 @@ EXIT_NUMERIC = 4
 
 class UsageError(Exception):
     pass
+
+
+class NumericalError(Exception):
+    """A stage computed a non-finite value that its artifact would carry."""
+
+
+def _check_finite(per_target: np.ndarray, what: str) -> None:
+    """Raises NumericalError naming the first target row of `per_target`
+    (one row, or one value, per target) that holds a non-finite value."""
+    bad = ~np.isfinite(per_target.reshape(per_target.shape[0], -1)).all(axis=1)
+    if bad.any():
+        raise NumericalError(f"non-finite {what} for target row {int(bad.argmax())}")
 
 
 # settings ---------------------------------------------------------------------
@@ -246,15 +261,13 @@ def cmd_sample(args) -> int:
     targets = read_targets(Path(args.targets), model.d_y)
     k = args.samples_per_target
     samples = flow_sample(model, targets, k, derive_seed(args.seed, "sample"))
+    _check_finite(samples.reshape(targets.shape[0], -1), "design")
     out = _out_dir(args)
-    with (out / SAMPLES_FILE).open("w") as fh:
-        for i, t in enumerate(targets):
-            block = samples[i * k:(i + 1) * k]
-            fh.write(json.dumps({"target": t.tolist(), "samples": block.tolist()}) + "\n")
+    write_samples(out / SAMPLES_FILE, targets, samples)
     write_json(
         out / SAMPLES_META_FILE,
         {
-            "format_version": 1,
+            "format_version": SAMPLES_FORMAT_VERSION,
             "kind": "samples",
             "n_targets": int(targets.shape[0]),
             "n_per_target": k,
@@ -273,10 +286,12 @@ def cmd_eval(args) -> int:
     model = flow_from_jsonable(read_json(Path(args.model)))
     targets = generate_dataset(task, noise, cfg.n_targets, derive_seed(args.seed, "targets")).y
     report = resimulation_error(model, task, noise, targets, cfg, method="weighted-flow")
+    _check_finite(report.per_target_losses, "re-simulation loss")
     inputs = {"model_sha256": sha256_of(Path(args.model))}
     if args.baseline is not None:
         base_model = flow_from_jsonable(read_json(Path(args.baseline)))
         base = resimulation_error(base_model, task, noise, targets, cfg, method="baseline-flow")
+        _check_finite(base.per_target_losses, "baseline re-simulation loss")
         t, p = welch_t_test(report.per_target_losses, base.per_target_losses)
         report = replace(report, comparison={"baseline_mse": base.mse, "t": t, "p": p})
         inputs["baseline_sha256"] = sha256_of(Path(args.baseline))
@@ -425,7 +440,7 @@ def main(argv=None) -> int:
     except (DataError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except TrainingError as exc:
+    except (TrainingError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -33,6 +33,7 @@ __all__ = [
     "write_dataset",
     "read_dataset",
     "read_targets",
+    "write_samples",
     "write_weights",
     "read_weights",
 ]
@@ -48,6 +49,7 @@ REPORT_FILE = "report.json"
 
 DATASET_FORMAT_VERSION = 1
 WEIGHTS_FORMAT_VERSION = 2
+SAMPLES_FORMAT_VERSION = 2
 
 
 class DataError(Exception):
@@ -182,6 +184,27 @@ def read_targets(path: Path, d_y: int) -> np.ndarray:
     if not np.isfinite(targets).all():
         raise DataError(f"{data_path}: targets must be finite")
     return targets
+
+
+def write_samples(path: Path, targets: np.ndarray, samples: np.ndarray) -> None:
+    """Writes one JSON line per target: the target and its block of samples.
+
+    Row i of `targets` owns rows [i*k, (i+1)*k) of `samples`. Each line is
+    laid out as json.dumps lays it out, by filling one %-template per row,
+    and is streamed to the file. Targets are written exactly (repr).
+    Samples come from float32 blocks, so they are written to 9 significant
+    digits, float32's round-trip precision: each value is within 5e-9
+    relative of the float64 sample. The samples must be finite, because %g
+    spells a non-finite value as nan or inf, which JSON does not have.
+    """
+    n_t, d_y = targets.shape
+    k, d_x = samples.shape[0] // n_t, samples.shape[1]
+    sample = "[" + ", ".join(["%.9g"] * d_x) + "]"
+    row = ('{"target": [' + ", ".join(["%r"] * d_y) + '], "samples": ['
+           + ", ".join([sample] * k) + "]}\n")
+    with Path(path).open("w") as fh:
+        for t, s in zip(targets, samples.reshape(n_t, k * d_x)):
+            fh.write(row % (*t.tolist(), *s.tolist()))
 
 
 def write_weights(path: Path, weights: WeightVector, cfg: WeightConfig,

@@ -364,14 +364,17 @@ def value_and_gradients(model: FlowModel, batch: Mapping[str, np.ndarray],
     (x and y after standardization), and only the final weighted sum of
     the per-row NLLs into the loss runs in float64. Writes the gradient of
     every subnet array into the matching array of `grads` and returns the
-    loss. `tape` may carry the block records of an earlier call for reuse
-    (see _to_latent).
+    loss; a non-finite loss, on which training stops, returns before the
+    reverse pass and leaves `grads` as they were. `tape` may carry the
+    block records of an earlier call for reuse (see _to_latent).
     """
     w_row = batch["w_row"]
     if tape is None:
         tape = []
     z, log_det = _to_latent(model, batch["x"], batch["y"], tape)
-    loss = w_row @ -_log_q(model, z, log_det)
+    loss = float((w_row @ -_log_q(model, z, log_det))[0, 0])
+    if not math.isfinite(loss):
+        return loss
     # d(-log q) is w*z through z*z (one term per factor) and w through each log-det
     g_ld = w_row.astype(z.dtype, copy=False).T
     g = (g_ld * 0.5) * z
@@ -379,7 +382,7 @@ def value_and_gradients(model: FlowModel, batch: Mapping[str, np.ndarray],
     for li, record in enumerate(reversed(tape)):
         g_u = g_cur[:, list(model.perms[li])]
         g_cur = _coupling_inverse_backward(model.blocks[li], record, g_u, g_ld, grads.blocks[li])
-    return float(loss[0, 0])
+    return loss
 
 
 # training -------------------------------------------------------------------------

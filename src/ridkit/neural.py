@@ -266,8 +266,10 @@ def value_and_gradients(params: MlpParams, batch: Mapping[str, np.ndarray],
     1/batch entries; they are cast to the parameter dtype, and only the
     final sum of the per-row errors into the loss runs in float64. Writes
     the gradient of every parameter array into the matching array of
-    `grads` and returns the loss. `tape` may carry the layer outputs of an
-    earlier call for reuse (see mlp_forward).
+    `grads` and returns the loss; a non-finite loss, on which training
+    stops, returns before the reverse pass and leaves `grads` as they were.
+    `tape` may carry the layer outputs of an earlier call for reuse (see
+    mlp_forward).
     """
     dtype = params.weights[0].dtype
     x = np.asarray(batch["x"], dtype=dtype)
@@ -275,11 +277,13 @@ def value_and_gradients(params: MlpParams, batch: Mapping[str, np.ndarray],
     if tape is None:
         tape = []
     diff = mlp_forward(params, x, tape) - np.asarray(batch["y"], dtype=dtype)
-    loss = mean_row @ (diff * diff).sum(axis=1, keepdims=True)
+    loss = float((mean_row @ (diff * diff).sum(axis=1, keepdims=True))[0, 0])
+    if not math.isfinite(loss):
+        return loss
     # d(diff*diff) is g*diff + diff*g, one term per factor
     g = mean_row.astype(dtype, copy=False).T * diff
     _mlp_backward(params, x, tape, g + g, grads)
-    return float(loss[0, 0])
+    return loss
 
 
 # training -----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from ridkit.fileio import (
     sha256_of,
     write_dataset,
 )
+from ridkit.flow import flow_sample
 from ridkit.tasks import Dataset, NoiseSpec, generate_dataset, make_task
 
 
@@ -344,6 +345,7 @@ def test_sample_meta_names_the_model_by_hash_not_path(model_file, dataset_dir, t
         metas.append((out / SAMPLES_META_FILE).read_bytes())
     assert metas[0] == metas[1]
     assert json.loads(metas[0])["model_sha256"] == sha256_of(model_file)
+    assert json.loads(metas[0])["format_version"] == 2
 
 
 def _non_finite_target(tmp_path, model_file, data, out):
@@ -442,6 +444,29 @@ def model_file(dataset_dir, tmp_path):
     assert run("train", "--dataset", dataset_dir, "--blocks", "2", "--hidden", "8",
                "--epochs", "1", "--out", out) == 0
     return out / MODEL_FILE
+
+
+@pytest.mark.parametrize("module, argv, artifact, what", [
+    ("ridkit.cli", ("sample", "--model", "{model}", "--targets", "{data}",
+                    "--n-per-target", "4"), SAMPLES_FILE, "design"),
+    ("ridkit.evaluation", ("eval", "--model", "{model}", "--task", "radian",
+                           "--n-targets", "8", "--samples-per-target", "4"),
+     REPORT_FILE, "re-simulation loss"),
+], ids=["sample", "eval"])
+def test_non_finite_design_exits_numeric_naming_the_row(model_file, dataset_dir, tmp_path,
+                                                        capsys, monkeypatch, module, argv,
+                                                        artifact, what):
+    def nan_at_row_3(model, y, n_per_row, seed):
+        designs = flow_sample(model, y, n_per_row, seed)
+        designs[3 * n_per_row + 1, 0] = np.nan
+        return designs
+
+    monkeypatch.setattr(f"{module}.flow_sample", nan_at_row_3)
+    out = tmp_path / "o"
+    argv = [a.format(model=model_file, data=dataset_dir) for a in argv]
+    assert run(*argv, "--out", out) == 4
+    assert capsys.readouterr().err == f"numerical failure: non-finite {what} for target row 3\n"
+    assert not (out / artifact).exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -406,6 +406,18 @@ def test_wnll_non_finite_loss_names_the_epoch():
         train_flow_wnll(model, x, y, np.full(8, 1e308), WnllConfig(epochs=2, batch_size=8))
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error:invalid value:RuntimeWarning")
+def test_wnll_non_finite_loss_skips_the_reverse_pass():
+    # the reverse pass of an infinite loss would run on inf and nan
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((8, 2))
+    y = rng.standard_normal((8, 1))
+    model = build_flow(2, 1, n_blocks=2, hidden=(4,), seed=0)
+    with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
+        train_flow_wnll(model, x, y, np.full(8, 1e308), WnllConfig(epochs=2, batch_size=8))
+
+
 def test_flow_serialization_round_trip():
     model = _randomized(build_flow(3, 2, n_blocks=3, hidden=(8,), seed=17), seed=18)
     model = replace(

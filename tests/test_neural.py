@@ -209,6 +209,18 @@ def test_value_and_gradients_match_finite_differences(activation):
             assert abs(grad[ij] - fd) <= 1e-6 * max(abs(fd), 1.0), (i, ij)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_loss_returns_before_the_reverse_pass():
+    rng = np.random.default_rng(24)
+    params = init_mlp(MlpSpec(3, 2, (6,)), rng)
+    # squared errors of 1e200 overflow the loss; the gradient rows would not
+    batch = {"x": rng.standard_normal((9, 3)), "y": np.full((9, 2), 1e200),
+             "mean_row": np.full((1, 9), 1.0 / 9)}
+    grads = params.with_arrays([np.full_like(a, 7.0) for a in params.arrays()])
+    assert value_and_gradients(params, batch, grads) == np.inf
+    assert all((g == 7.0).all() for g in grads.arrays())
+
+
 def test_arrays_round_trip_through_with_arrays():
     params = init_mlp(MlpSpec(3, 2, (5, 4)), np.random.default_rng(8))
     arrays = params.arrays()
