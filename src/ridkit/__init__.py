@@ -10,10 +10,7 @@ from . import backend
 from .evaluation import (
     EvalConfig,
     EvalReport,
-    decomposition_check,
-    mc_expected_loss,
     resimulation_error,
-    target_agnostic_robustness,
     welch_t_test,
 )
 from .flow import (

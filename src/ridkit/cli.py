@@ -213,7 +213,7 @@ def cmd_train(args) -> int:
     dataset = read_dataset(Path(args.dataset))
     weights = None
     if args.weights is not None:
-        weights, _, source_sha256 = read_weights(Path(args.weights))
+        weights, source_sha256 = read_weights(Path(args.weights))
         data_path = dataset_path(args.dataset)
         if source_sha256 != sha256_of(data_path):
             raise DataError(f"{args.weights} was computed from the dataset with sha256 "
@@ -285,12 +285,12 @@ def cmd_eval(args) -> int:
     cfg = _eval_config(args, derive_seed(args.seed, "eval"))
     model = flow_from_jsonable(read_json(Path(args.model)))
     targets = generate_dataset(task, noise, cfg.n_targets, derive_seed(args.seed, "targets")).y
-    report = resimulation_error(model, task, noise, targets, cfg, method="weighted-flow")
+    report = resimulation_error(model, task, noise, targets, cfg)
     _check_finite(report.per_target_losses, "re-simulation loss")
     inputs = {"model_sha256": sha256_of(Path(args.model))}
     if args.baseline is not None:
         base_model = flow_from_jsonable(read_json(Path(args.baseline)))
-        base = resimulation_error(base_model, task, noise, targets, cfg, method="baseline-flow")
+        base = resimulation_error(base_model, task, noise, targets, cfg)
         _check_finite(base.per_target_losses, "baseline re-simulation loss")
         t, p = welch_t_test(report.per_target_losses, base.per_target_losses)
         report = replace(report, comparison={"baseline_mse": base.mse, "t": t, "p": p})

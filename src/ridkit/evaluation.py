@@ -1,20 +1,17 @@
-"""Robustness estimators, re-simulation scoring, and significance testing.
+"""Re-simulation scoring and significance testing.
 
-The expected squared loss of a design x' against a target decomposes into a
-target-agnostic part (spread of the noisy response around its own mean) and
-a bias part (squared distance of that mean from the target); the
-decomposition is an algebraic identity of sample moments when both sides
-are computed on one shared draw set, which is what decomposition_check
-verifies. An inverse model is scored by re-simulation: sample designs for
-held-out targets, push each through one noisy forward draw, and average the
-squared errors.
+The expected squared loss L of a design against a target is R + B: the
+target-agnostic spread R of the noisy response around its own mean plus
+the squared distance B of that mean from the target. An inverse model is
+scored by re-simulation: sample designs for held-out targets, push each
+through one noisy forward draw, and average the squared errors.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,9 +23,6 @@ from .tasks import NoiseSpec, TaskSpec, apply_noise_batch
 __all__ = [
     "EvalConfig",
     "EvalReport",
-    "mc_expected_loss",
-    "target_agnostic_robustness",
-    "decomposition_check",
     "resimulation_error",
     "welch_t_test",
     "regularized_incomplete_beta",
@@ -46,17 +40,9 @@ class EvalConfig:
         if min(self.n_targets, self.samples_per_target) < 1:
             raise ValueError("all evaluation counts must be >= 1")
 
-    def to_jsonable(self) -> dict:
-        return {
-            "n_targets": self.n_targets,
-            "samples_per_target": self.samples_per_target,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
-    method: str
     task: str
     noise_mode: str
     mse: float
@@ -69,12 +55,11 @@ class EvalReport:
     def to_jsonable(self) -> dict:
         # wall_clock_seconds stays out so identical reruns stay byte-identical
         doc = {
-            "format_version": 1,
+            "format_version": 2,
             "kind": "eval-report",
-            "method": self.method,
             "task": self.task,
             "noise_mode": self.noise_mode,
-            "config": self.config.to_jsonable(),
+            "config": asdict(self.config),
             "mse": self.mse,
             "std_error": self.std_error,
             "per_target_losses": self.per_target_losses.tolist(),
@@ -82,69 +67,6 @@ class EvalReport:
         if self.comparison is not None:
             doc["comparison"] = self.comparison
         return doc
-
-
-# Monte Carlo robustness estimators -------------------------------------------------
-
-
-def _draws(task, noise, x_design, n, seed) -> np.ndarray:
-    x = np.asarray(x_design, dtype=np.float64).reshape(1, task.d_x)
-    rng = np.random.default_rng(seed)
-    return apply_noise_batch(task, noise, np.repeat(x, n, axis=0), rng)
-
-
-def mc_expected_loss(
-    task: TaskSpec, noise: NoiseSpec, x_design, y_target, n_draws: int, seed: int
-) -> float:
-    """Unbiased Monte Carlo estimate of the expected squared loss at x'."""
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    yt = np.asarray(y_target, dtype=np.float64).reshape(1, task.d_y)
-    y = _draws(task, noise, x_design, n_draws, seed)
-    return float(backend.row_sumsq_diff(y, np.repeat(yt, n_draws, axis=0)).mean())
-
-
-def target_agnostic_robustness(
-    task: TaskSpec, noise: NoiseSpec, x_design, n_draws: int, seed: int
-) -> tuple[float, np.ndarray]:
-    """(R, F_hat): spread of the noisy response around its own sample mean.
-
-    R carries the n/(n-1) small-sample correction; F_hat is the plain mean.
-    """
-    if n_draws < 2:
-        raise ValueError("n_draws must be >= 2")
-    y = _draws(task, noise, x_design, n_draws, seed)
-    f_hat = y.mean(axis=0, keepdims=True)
-    dev = float(backend.row_sumsq_diff(y, np.repeat(f_hat, n_draws, axis=0)).mean())
-    return dev * n_draws / (n_draws - 1), f_hat[0]
-
-
-def decomposition_check(
-    task: TaskSpec,
-    noise: NoiseSpec,
-    x_design,
-    y_target,
-    n_draws: int,
-    seed: int,
-    shared_draws: bool = True,
-) -> float:
-    """Residual of L = R + B.
-
-    On one shared draw set the identity holds exactly (R taken as the
-    uncorrected second moment about the sample mean, which is what the
-    identity is stated for), so the residual is pure float rounding. With
-    independent draw sets the residual is a Monte Carlo quantity that
-    shrinks like 1/sqrt(n).
-    """
-    yt = np.asarray(y_target, dtype=np.float64).reshape(1, task.d_y)
-    y = _draws(task, noise, x_design, n_draws, seed)
-    loss = float(backend.row_sumsq_diff(y, np.repeat(yt, n_draws, axis=0)).mean())
-    if not shared_draws:
-        y = _draws(task, noise, x_design, n_draws, derive_seed(seed, "independent"))
-    f_hat = y.mean(axis=0, keepdims=True)
-    r_raw = float(backend.row_sumsq_diff(y, np.repeat(f_hat, n_draws, axis=0)).mean())
-    bias = float(((f_hat - yt) ** 2).sum())
-    return abs(loss - (r_raw + bias))
 
 
 # re-simulation scoring ---------------------------------------------------------------
@@ -156,7 +78,6 @@ def resimulation_error(
     noise: NoiseSpec,
     test_targets: np.ndarray,
     cfg: EvalConfig,
-    method: str = "flow",
 ) -> EvalReport:
     """Scores an inverse model on held-out targets.
 
@@ -180,7 +101,6 @@ def resimulation_error(
     mse = float(losses.mean())
     std_error = float(losses.std(ddof=1) / math.sqrt(n_t)) if n_t > 1 else 0.0
     return EvalReport(
-        method=method,
         task=task.name,
         noise_mode=noise.mode,
         mse=mse,

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .tasks import Dataset, NoiseSpec, TaskSpec, make_task
+from .tasks import Dataset, NoiseSpec, make_task
 from .weights import WeightConfig, WeightVector
 
 __all__ = [
@@ -48,7 +49,7 @@ SAMPLES_META_FILE = "samples.meta.json"
 REPORT_FILE = "report.json"
 
 DATASET_FORMAT_VERSION = 1
-WEIGHTS_FORMAT_VERSION = 2
+WEIGHTS_FORMAT_VERSION = 3
 SAMPLES_FORMAT_VERSION = 2
 
 
@@ -73,25 +74,6 @@ def sha256_of(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _noise_to_jsonable(noise: NoiseSpec) -> dict:
-    return {
-        "mode": noise.mode,
-        "x_sigma": noise.x_sigma,
-        "y_sigma": noise.y_sigma,
-        "seed": noise.seed,
-    }
-
-
-def _task_to_jsonable(task: TaskSpec) -> dict:
-    return {
-        "name": task.name,
-        "d_x": task.d_x,
-        "d_y": task.d_y,
-        "x_sigma": task.x_sigma,
-        "y_sigma": task.y_sigma,
-    }
-
-
 def write_dataset(out_dir: Path, dataset: Dataset) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -104,8 +86,8 @@ def write_dataset(out_dir: Path, dataset: Dataset) -> Path:
         {
             "format_version": DATASET_FORMAT_VERSION,
             "kind": "dataset",
-            "task": _task_to_jsonable(dataset.task),
-            "noise": _noise_to_jsonable(dataset.noise),
+            "task": asdict(dataset.task),
+            "noise": asdict(dataset.noise),
             "seed": dataset.seed,
             "n": dataset.n,
         },
@@ -118,6 +100,25 @@ def dataset_path(path: Path) -> Path:
     the directory it names."""
     path = Path(path)
     return path / DATASET_FILE if path.is_dir() else path
+
+
+def _read_columns(path: Path, *keys: str) -> tuple[list, ...]:
+    """One list per key of the values the rows of a JSON-lines file hold
+    under it; a line that is not a JSON object with every key is a DataError."""
+    try:
+        lines = path.read_text().splitlines()
+    except FileNotFoundError as exc:
+        raise DataError(f"missing file: {path}") from exc
+    columns = tuple([] for _ in keys)
+    for ln, line in enumerate(lines, 1):
+        try:
+            row = json.loads(line)
+            for column, key in zip(columns, keys):
+                column.append(row[key])
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: line {ln} is not a JSON object with "
+                            f"{' and '.join(map(repr, keys))}") from exc
+    return columns
 
 
 def read_dataset(path: Path) -> Dataset:
@@ -140,18 +141,7 @@ def read_dataset(path: Path) -> Dataset:
         n, seed = meta["n"], meta["seed"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed dataset meta {meta_path}: missing or ill-typed {exc}") from exc
-    xs, ys = [], []
-    try:
-        lines = data_path.read_text().splitlines()
-    except FileNotFoundError as exc:
-        raise DataError(f"missing file: {data_path}") from exc
-    for ln, line in enumerate(lines):
-        try:
-            row = json.loads(line)
-            xs.append(row["x"])
-            ys.append(row["y"])
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise DataError(f"{data_path}: bad row at line {ln + 1}") from exc
+    xs, ys = _read_columns(data_path, "x", "y")
     if len(xs) != n:
         raise DataError(f"{data_path}: {len(xs)} rows but meta says {n}")
     return Dataset(
@@ -166,16 +156,9 @@ def read_dataset(path: Path) -> Dataset:
 def read_targets(path: Path, d_y: int) -> np.ndarray:
     """Loads conditioning targets from any jsonl whose rows carry a 'y'."""
     data_path = dataset_path(path)
-    ys = []
-    try:
-        lines = data_path.read_text().splitlines()
-    except FileNotFoundError as exc:
-        raise DataError(f"missing file: {data_path}") from exc
-    for ln, line in enumerate(lines):
-        try:
-            ys.append(json.loads(line)["y"])
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise DataError(f"{data_path}: bad target row at line {ln + 1}") from exc
+    (ys,) = _read_columns(data_path, "y")
+    if not ys:
+        raise DataError(f"{data_path}: no target rows")
     targets = np.asarray(ys, dtype=np.float64)
     if targets.ndim == 1:
         targets = targets.reshape(-1, 1)
@@ -216,24 +199,23 @@ def write_weights(path: Path, weights: WeightVector, cfg: WeightConfig,
             "format_version": WEIGHTS_FORMAT_VERSION,
             "kind": "sample-weights",
             "dataset_sha256": dataset_sha256,
-            "config": cfg.to_jsonable(),
+            "config": asdict(cfg),
             "weights": weights.w.tolist(),
         },
     )
 
 
-def read_weights(path: Path) -> tuple[np.ndarray, WeightConfig, str]:
-    """The weights, their config and the sha256 of the dataset they score."""
+def read_weights(path: Path) -> tuple[np.ndarray, str]:
+    """The weights and the sha256 of the dataset they score."""
     doc = read_json(Path(path))
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != WEIGHTS_FORMAT_VERSION:
         raise DataError(f"unsupported weights format_version {version}")
     try:
         w = np.asarray(doc["weights"], dtype=np.float64)
-        cfg = WeightConfig.from_jsonable(doc["config"])
         dataset_sha256 = doc["dataset_sha256"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed weights file {path}: {exc}") from exc
     if not np.isfinite(w).all():
         raise DataError(f"weights file {path} has non-finite weights")
-    return w, cfg, dataset_sha256
+    return w, dataset_sha256

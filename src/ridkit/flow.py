@@ -2,7 +2,7 @@
 
 A FlowModel maps latent z ~ N(0, I) to designs x through a stack of
 conditional affine coupling blocks; each block rescales and shifts half of
-the coordinates using subnets fed with the untouched half and the
+the coordinates using tanh MLP subnets fed with the untouched half and the
 condition y, so both directions and the log-determinant are available in
 closed form. Fitting minimizes a per-sample-weighted negative
 log-likelihood, which is how non-robust samples get suppressed.
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# flow_forward rows per tile: a 64-wide activation of this many rows is
+# flow_forward rows per tile: a 64-wide layer output of this many rows is
 # 256 KiB in float32 (sampling) and 512 KiB in float64, which stays in L2
 _TILE_ROWS = 1024
 
@@ -129,7 +129,6 @@ def build_flow(
     d_y: int,
     n_blocks: int,
     hidden: Sequence[int],
-    activation: str = "tanh",
     clamp: float = 2.0,
     seed: int = 0,
 ) -> FlowModel:
@@ -143,7 +142,7 @@ def build_flow(
     blocks, perms = [], []
     for li in range(n_blocks):
         active, passive = _checkerboard(d_x, li)
-        sub_spec = MlpSpec(len(passive) + d_y, len(active), tuple(hidden), activation)
+        sub_spec = MlpSpec(len(passive) + d_y, len(active), tuple(hidden))
         blocks.append(
             CouplingBlock(
                 active=active,
@@ -256,7 +255,7 @@ def flow_forward(
 
     The log-det covers the full z -> x map, including the fixed
     de-standardization scale. Rows run through all blocks in tiles of
-    _TILE_ROWS, so each layer's activations stay in cache however many rows
+    _TILE_ROWS, so each layer's outputs stay in cache however many rows
     come in. The blocks compute in the dtype of the subnet parameters; the
     standardization and both results stay float64.
     """

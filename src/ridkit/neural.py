@@ -32,9 +32,6 @@ __all__ = [
     "mlp_from_jsonable",
 ]
 
-_ACTIVATIONS = ("tanh", "relu")
-
-
 class TrainingError(Exception):
     """Training produced a non-finite loss or parameter, or met rows it
     cannot represent."""
@@ -42,16 +39,16 @@ class TrainingError(Exception):
 
 @dataclass(frozen=True)
 class MlpSpec:
+    """Layer widths of an MLP whose hidden layers are tanh and whose output
+    layer is linear."""
+
     input_dim: int
     output_dim: int
     hidden: tuple[int, ...] = ()
-    activation: str = "tanh"
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1 or any(h < 1 for h in self.hidden):
             raise ValueError("all layer widths must be >= 1")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     @property
@@ -110,12 +107,11 @@ def mlp_forward(params: MlpParams, x_batch: np.ndarray, tape: list | None = None
     With a list for `tape`, records every layer's output in it, the input of
     the reverse pass _mlp_backward. A layer output already in the list with
     the right shape is rewritten in place, so a training loop that passes
-    the same list every step keeps its activations in the same buffers.
+    the same list every step keeps its layer outputs in the same buffers.
     """
     x = np.asarray(x_batch, dtype=params.weights[0].dtype)
     if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
         raise ValueError(f"x_batch shape {x.shape} does not match input_dim {params.spec.input_dim}")
-    relu = params.spec.activation == "relu"
     h = x
     last = len(params.weights) - 1
     # one array per layer, fresh or the tape's own, updated in place: large
@@ -129,10 +125,7 @@ def mlp_forward(params: MlpParams, x_batch: np.ndarray, tape: list | None = None
                 tape[li:li + 1] = [h]
         h += b
         if li != last:
-            if relu:
-                np.maximum(h, 0.0, out=h)
-            else:
-                np.tanh(h, out=h)
+            np.tanh(h, out=h)
     return h
 
 
@@ -143,16 +136,12 @@ def _mlp_backward(params: MlpParams, x: np.ndarray, tape: Sequence[np.ndarray], 
     Writes each layer's weight and bias gradient into the matching array of
     `grads` and returns the adjoint of x.
     """
-    relu = params.spec.activation == "relu"
     last = len(params.weights) - 1
     for li in range(last, -1, -1):
-        y = tape[li]
         if li == last:
             d = g
-        elif relu:
-            d = g * (y > 0.0)
-        else:
-            d = y * y
+        else:  # through tanh: 1 - tanh^2
+            d = tape[li] * tape[li]
             np.subtract(1.0, d, out=d)
             d *= g
         np.sum(d, axis=0, keepdims=True, out=grads.biases[li])
@@ -314,7 +303,7 @@ def fit_minibatch(
     batch(idx) returns the data for the rows idx and may draw from rng
     itself. value_and_grads(model, batch, grads, tape) returns the loss and
     writes every gradient array into `grads`; `tape` is one list passed to
-    every step, in which the forward pass keeps its activations, so a step
+    every step, in which the forward pass keeps its layer outputs, so a step
     rewrites the previous step's buffers instead of allocating (and, for
     large batches, page-faulting in) fresh ones. Returns the trained model
     and the per-epoch mean loss.
@@ -381,7 +370,7 @@ def train_regressor(
 
 # serialization -------------------------------------------------------------------
 
-MLP_FORMAT_VERSION = 1
+MLP_FORMAT_VERSION = 2
 
 
 def mlp_to_jsonable(params: MlpParams) -> dict:
@@ -392,7 +381,6 @@ def mlp_to_jsonable(params: MlpParams) -> dict:
             "input_dim": params.spec.input_dim,
             "output_dim": params.spec.output_dim,
             "hidden": list(params.spec.hidden),
-            "activation": params.spec.activation,
         },
         "layers": [
             {"weight": w.ravel().tolist(), "bias": b.ravel().tolist()}
@@ -407,7 +395,7 @@ def mlp_from_jsonable(doc: dict) -> MlpParams:
     if doc.get("format_version") != MLP_FORMAT_VERSION:
         raise ValueError(f"unsupported mlp format_version {doc.get('format_version')}")
     s = doc["spec"]
-    spec = MlpSpec(s["input_dim"], s["output_dim"], tuple(s["hidden"]), s["activation"])
+    spec = MlpSpec(s["input_dim"], s["output_dim"], tuple(s["hidden"]))
     if len(doc["layers"]) != len(spec.layer_dims):
         raise ValueError(f"mlp has {len(doc['layers'])} layers for a spec of "
                          f"{len(spec.layer_dims)}")

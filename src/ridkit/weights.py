@@ -1,11 +1,12 @@
 """Per-sample robustness estimation and conversion to training weights.
 
 The robustness of a training pair is its predictability: a forward
-surrogate is fit on the other cross-validation folds and the pair's
-held-out squared prediction error is its raw robustness score r (small =
-predictable = robust). Scores are normalized to mean 1, mapped through
-w = exp(-tau * r), renormalized to mean 1, and floored by eps, so noisy
-samples are suppressed smoothly instead of discarded.
+surrogate, an MLP of two 64-wide tanh layers, is fit on the other
+cross-validation folds and the pair's held-out squared prediction error is
+its raw robustness score r (small = predictable = robust). Scores are
+normalized to mean 1, mapped through w = exp(-tau * r), renormalized to
+mean 1, and floored by eps, so noisy samples are suppressed smoothly
+instead of discarded.
 """
 
 from __future__ import annotations
@@ -24,19 +25,14 @@ __all__ = [
     "WeightConfig",
     "RobustnessEstimate",
     "WeightVector",
-    "FoldTrainingError",
     "kfold_split",
     "estimate_sample_robustness",
     "robustness_to_weights",
 ]
 
 
-class FoldTrainingError(TrainingError):
-    """Surrogate training diverged; carries the offending fold id."""
-
-    def __init__(self, fold: int, message: str):
-        super().__init__(f"fold {fold}: {message}")
-        self.fold = fold
+# hidden layer widths of every fold surrogate
+SURROGATE_HIDDEN = (64, 64)
 
 
 @dataclass(frozen=True)
@@ -44,8 +40,6 @@ class WeightConfig:
     k_folds: int = 5
     tau: float = 1.0
     eps: float = 1e-3
-    surrogate_hidden: tuple[int, ...] = (64, 64)
-    surrogate_activation: str = "tanh"
     epochs: int = 40
     batch_size: int = 128
     seed: int = 0
@@ -59,37 +53,11 @@ class WeightConfig:
             raise ValueError("eps must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        object.__setattr__(self, "surrogate_hidden", tuple(int(h) for h in self.surrogate_hidden))
 
     def check_rows(self, n: int) -> None:
         """Raise unless a dataset of n rows splits into k_folds folds of >= 2 rows."""
         if n < 2 * self.k_folds:
             raise ValueError(f"dataset of {n} rows is too small for k={self.k_folds} folds")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "k_folds": self.k_folds,
-            "tau": self.tau,
-            "eps": self.eps,
-            "surrogate_hidden": list(self.surrogate_hidden),
-            "surrogate_activation": self.surrogate_activation,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_jsonable(doc: dict) -> "WeightConfig":
-        return WeightConfig(
-            k_folds=int(doc["k_folds"]),
-            tau=float(doc["tau"]),
-            eps=float(doc["eps"]),
-            surrogate_hidden=tuple(doc["surrogate_hidden"]),
-            surrogate_activation=doc["surrogate_activation"],
-            epochs=int(doc["epochs"]),
-            batch_size=int(doc["batch_size"]),
-            seed=int(doc["seed"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -127,10 +95,6 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     return [np.sort(part) for part in np.array_split(order, k)]
 
 
-def _surrogate_spec(cfg: WeightConfig, d_x: int, d_y: int) -> MlpSpec:
-    return MlpSpec(d_x, d_y, cfg.surrogate_hidden, cfg.surrogate_activation)
-
-
 def _fold_errors(
     fold_id: int,
     dataset: Dataset,
@@ -139,17 +103,16 @@ def _fold_errors(
 ) -> np.ndarray:
     mask = np.ones(dataset.n, dtype=bool)
     mask[valid_idx] = False
-    spec = _surrogate_spec(cfg, dataset.x.shape[1], dataset.y.shape[1])
     try:
         params, _ = train_regressor(
-            spec,
+            MlpSpec(dataset.x.shape[1], dataset.y.shape[1], SURROGATE_HIDDEN),
             (dataset.x[mask], dataset.y[mask]),
             epochs=cfg.epochs,
             batch_size=cfg.batch_size,
             seed=derive_seed(cfg.seed, f"fold{fold_id}"),
         )
     except TrainingError as exc:
-        raise FoldTrainingError(fold_id, str(exc)) from exc
+        raise TrainingError(f"fold {fold_id}: {exc}") from exc
     pred = mlp_forward(params, dataset.x[valid_idx])
     return backend.row_sumsq_diff(pred, dataset.y[valid_idx]).reshape(-1)
 

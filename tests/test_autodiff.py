@@ -66,7 +66,7 @@ def test_grad_matmul_by_hand():
 
 
 def test_tanh_grad_at_zero_is_one():
-    spec = MlpSpec(2, 2, (2,), "tanh")
+    spec = MlpSpec(2, 2, (2,))
     params = _params(spec, [np.eye(2), np.eye(2)], [np.zeros((1, 2)), np.zeros((1, 2))])
     g = np.array([[0.25, -3.0]])
     g_x, _ = _backward(params, np.zeros((1, 2)), g)
@@ -82,17 +82,14 @@ def test_grad_of_sum_of_squares():
     np.testing.assert_array_equal(grads.biases[0], [[6.0]])
 
 
-@pytest.mark.parametrize("act", ["identity", "tanh", "relu"])
+@pytest.mark.parametrize("act", ["identity", "tanh"])
 def test_dense_finite_diff(act):
-    # one dense layer (identity) or a hidden layer of `act` plus the linear
+    # one dense layer (identity) or a tanh hidden layer plus the linear
     # head; the probe sum(out * out) keeps the reverse pass nonlinear
     rng = np.random.default_rng(11)
-    spec = MlpSpec(3, 2) if act == "identity" else MlpSpec(3, 2, (4,), act)
+    spec = MlpSpec(3, 2) if act == "identity" else MlpSpec(3, 2, (4,))
     params = _random_params(spec, rng)
     x = rng.standard_normal((5, 3))
-    if act == "relu":  # keep every pre-activation off the kink
-        pre = x @ params.weights[0] + params.biases[0]
-        params.biases[0][...] += np.where(np.abs(pre) < 1e-2, 0.5, 0.0).max(axis=0)
 
     def probe():
         out = mlp_forward(params, x)
@@ -119,29 +116,28 @@ def test_dense_finite_diff(act):
 
 def _composite_reference(params, x, y, mean_row, act):
     """The MSE loss and its gradient in plain numpy, one fresh array per
-    operation: h = act(x @ w0 + b0), out = h @ w1 + b1 (or out = x @ w0 + b0).
+    operation: h = tanh(x @ w0 + b0), out = h @ w1 + b1 (or out = x @ w0 + b0).
     The gradients come in MlpParams.arrays() order."""
     w, b = params.weights, params.biases
     if act == "identity":
         diff = (x @ w[0] + b[0]) - y
     else:
-        pre = x @ w[0] + b[0]
-        h = np.tanh(pre) if act == "tanh" else np.maximum(pre, 0.0)
+        h = np.tanh(x @ w[0] + b[0])
         diff = (h @ w[1] + b[1]) - y
     loss = mean_row @ (diff * diff).sum(axis=1, keepdims=True)
     d_out = 2.0 * (mean_row.T * diff)
     if act == "identity":
         return float(loss[0, 0]), [x.T @ d_out, d_out.sum(axis=0, keepdims=True)]
     g_h = d_out @ w[1].T
-    d_h = g_h * (1.0 - h * h) if act == "tanh" else g_h * (h > 0.0)
+    d_h = g_h * (1.0 - h * h)
     return float(loss[0, 0]), [x.T @ d_h, d_h.sum(axis=0, keepdims=True),
                                h.T @ d_out, d_out.sum(axis=0, keepdims=True)]
 
 
-@pytest.mark.parametrize("act", ["identity", "tanh", "relu"])
+@pytest.mark.parametrize("act", ["identity", "tanh"])
 def test_dense_bitwise_equals_composite(act):
     rng = np.random.default_rng(12)
-    spec = MlpSpec(3, 2) if act == "identity" else MlpSpec(3, 2, (5,), act)
+    spec = MlpSpec(3, 2) if act == "identity" else MlpSpec(3, 2, (5,))
     params = _random_params(spec, rng)
     x, y = rng.standard_normal((7, 3)), rng.standard_normal((7, 2))
     batch = _batch(x, y)
@@ -153,12 +149,15 @@ def test_dense_bitwise_equals_composite(act):
 
 
 def test_gradient_wrt_unused_leaf_is_zero():
-    # hidden relu unit 1 is dead on every row, so nothing flows into its
-    # incoming weights, its bias or its outgoing weight
+    # hidden unit 1 is cut off: zero incoming weights, bias and outgoing
+    # weights, so it outputs tanh(0) = 0 on every row and nothing flows into
+    # its incoming weights, its bias or its outgoing weights
     rng = np.random.default_rng(4)
-    spec = MlpSpec(3, 2, (3,), "relu")
+    spec = MlpSpec(3, 2, (3,))
     params = _random_params(spec, rng)
-    params.biases[0][0, 1] = -100.0
+    params.weights[0][:, 1] = 0.0
+    params.biases[0][0, 1] = 0.0
+    params.weights[1][1, :] = 0.0
     x, y = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
     _, grads = _value_and_gradients(params, _batch(x, y))
     np.testing.assert_array_equal(grads.weights[0][:, 1], 0.0)
@@ -172,7 +171,7 @@ def test_gradient_linearity_over_random_graphs():
     rng = np.random.default_rng(42)
     for trial in range(20):
         hidden = tuple(int(k) for k in rng.integers(1, 6, size=trial % 3))
-        spec = MlpSpec(3, 2, hidden, ("tanh", "relu")[trial % 2])
+        spec = MlpSpec(3, 2, hidden)
         params = _random_params(spec, rng)
         x = rng.standard_normal((4, 3))
         g1, g2 = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
@@ -200,7 +199,7 @@ def _assert_pure(value_and_gradients, model, batch):
 
 def test_evaluate_is_pure():
     rng = np.random.default_rng(5)
-    spec = MlpSpec(3, 2, (6, 4), "tanh")
+    spec = MlpSpec(3, 2, (6, 4))
     _assert_pure(value_and_gradients, _random_params(spec, rng),
                  _batch(rng.standard_normal((8, 3)), rng.standard_normal((8, 2))))
     model = flow.build_flow(2, 1, n_blocks=2, hidden=(5,), seed=3)
@@ -214,7 +213,7 @@ def _random_flow(d_x, rng):
     return model.with_arrays([rng.standard_normal(a.shape) for a in model.arrays()])
 
 
-@pytest.mark.parametrize("case", ["mlp-tanh", "mlp-relu", "flow-dx1", "flow-dx3"])
+@pytest.mark.parametrize("case", ["mlp-tanh", "flow-dx1", "flow-dx3"])
 def test_reverse_pass_writes_every_gradient_array(case):
     # the optimizer's gradient buffer persists across steps, so an array the
     # reverse pass skipped would silently feed Adam the previous step's
@@ -222,7 +221,7 @@ def test_reverse_pass_writes_every_gradient_array(case):
     rng = np.random.default_rng(31)
     kind, variant = case.split("-")
     if kind == "mlp":
-        model = _random_params(MlpSpec(3, 2, (6, 5), variant), rng)
+        model = _random_params(MlpSpec(3, 2, (6, 5)), rng)
         vg, batch = value_and_gradients, _batch(rng.standard_normal((9, 3)),
                                                 rng.standard_normal((9, 2)))
     else:  # d_x=1 has blocks with an empty passive half
@@ -252,7 +251,7 @@ def test_tape_reused_across_calls_matches_a_fresh_tape(kind):
     rng = np.random.default_rng(32)
     sizes = (9, 9, 4, 9)
     if kind == "mlp":
-        model, vg = _random_params(MlpSpec(3, 2, (6, 5), "tanh"), rng), value_and_gradients
+        model, vg = _random_params(MlpSpec(3, 2, (6, 5)), rng), value_and_gradients
         batches = [_batch(rng.standard_normal((n, 3)), rng.standard_normal((n, 2))) for n in sizes]
     else:
         model, vg = _random_flow(3, rng), flow.value_and_gradients
@@ -271,7 +270,7 @@ def test_tape_reused_across_calls_matches_a_fresh_tape(kind):
 
 def test_concurrent_value_and_gradients_on_one_graph():
     rng = np.random.default_rng(14)
-    spec = MlpSpec(3, 2, (5,), "tanh")
+    spec = MlpSpec(3, 2, (5,))
     params = init_mlp(spec, rng)
     batches = [_batch(rng.standard_normal((64, 3)), rng.standard_normal((64, 2)))
                for _ in range(4)]

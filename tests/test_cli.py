@@ -78,9 +78,10 @@ def test_weights_command_tau_zero(dataset_dir, capsys):
                "--epochs", "5", "--seed", "2", "--out", dataset_dir) == 0
     printed = capsys.readouterr().out
     assert "min=1.001000" in printed and "max=1.001000" in printed
-    w, cfg, source_sha256 = read_weights(dataset_dir / WEIGHTS_FILE)
+    w, source_sha256 = read_weights(dataset_dir / WEIGHTS_FILE)
     assert w.shape == (120,)
-    assert cfg.tau == 0.0
+    assert read_json(dataset_dir / WEIGHTS_FILE)["config"] == {
+        "k_folds": 3, "tau": 0.0, "eps": 1e-3, "epochs": 5, "batch_size": 128, "seed": 2}
     assert source_sha256 == sha256_of(dataset_dir / DATASET_FILE)
     np.testing.assert_allclose(w, np.full(120, 1.001), rtol=1e-12)
 
@@ -111,6 +112,10 @@ def test_train_sample_eval_pipeline(dataset_dir, tmp_path):
     assert report["mse"] >= 0.0
     assert len(report["per_target_losses"]) == 16
     assert "wall_clock_seconds" not in report
+    # the model is unweighted: the report names it by model_sha256 and
+    # claims no method
+    assert "method" not in report
+    assert report["format_version"] == 2
 
 
 def test_eval_with_baseline_adds_comparison(dataset_dir, tmp_path):
@@ -174,7 +179,7 @@ def test_weights_file_of_format_version_one_is_data_error(dataset_dir, tmp_path,
     assert run("weights", "--dataset", dataset_dir, "--k", "2", "--epochs", "1",
                "--out", tmp_path) == 0
     doc = read_json(tmp_path / WEIGHTS_FILE)
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
     del doc["dataset_sha256"]
     doc["format_version"] = 1
     (tmp_path / WEIGHTS_FILE).write_text(json.dumps(doc))
@@ -185,14 +190,11 @@ def test_weights_file_of_format_version_one_is_data_error(dataset_dir, tmp_path,
 
 def test_omitted_weights_equals_all_ones_file(dataset_dir, tmp_path):
     ones = {
-        "format_version": 2,
+        "format_version": 3,
         "kind": "sample-weights",
         "dataset_sha256": sha256_of(dataset_dir / DATASET_FILE),
-        "config": {
-            "k_folds": 2, "tau": 0.0, "eps": 1e-3,
-            "surrogate_hidden": [8], "surrogate_activation": "tanh",
-            "epochs": 1, "batch_size": 8, "seed": 0,
-        },
+        "config": {"k_folds": 2, "tau": 0.0, "eps": 1e-3, "epochs": 1, "batch_size": 8,
+                   "seed": 0},
         "weights": [1.0] * 120,
     }
     wfile = tmp_path / "ones.json"
@@ -413,6 +415,30 @@ def _model_extra_subnet(tmp_path, model_file, data, out):
     return ("sample", "--model", bad, "--targets", data, "--out", out)
 
 
+def _model_mlp_version_one(tmp_path, model_file, data, out):
+    # subnets of MLP format 1 named an activation; version 2 has none
+    doc = read_json(model_file)
+    doc["subnets"][0]["s"]["format_version"] = 1
+    doc["subnets"][0]["s"]["spec"]["activation"] = "tanh"
+    bad = tmp_path / "mlp_version_one.json"
+    bad.write_text(json.dumps(doc))
+    return ("sample", "--model", bad, "--targets", data, "--out", out)
+
+
+def _weights_version_two(tmp_path, model_file, data, out):
+    # weights format 2 carried the surrogate shape in its config; version 3 has none
+    weights = tmp_path / "weights_v2.json"
+    weights.write_text(json.dumps({
+        "format_version": 2, "kind": "sample-weights",
+        "dataset_sha256": sha256_of(data / DATASET_FILE),
+        "config": {"k_folds": 2, "tau": 1.0, "eps": 1e-3, "surrogate_hidden": [64, 64],
+                   "surrogate_activation": "tanh", "epochs": 1, "batch_size": 8, "seed": 0},
+        "weights": [1.0] * 120,
+    }))
+    return ("train", "--dataset", data, "--weights", weights, "--blocks", "2", "--hidden", "8",
+            "--epochs", "1", "--out", out)
+
+
 def _model_extra_layer(tmp_path, model_file, data, out):
     # one more layer than the subnet's spec has: loading must not drop it
     doc = read_json(model_file)
@@ -426,16 +452,40 @@ def _model_extra_layer(tmp_path, model_file, data, out):
 @pytest.mark.parametrize("make_argv", [
     _non_finite_target, _meta_without_task, _sample_with_non_model, _eval_with_non_model,
     _model_missing_field, _model_without_blocks, _model_nan_weight, _model_zero_scale,
-    _model_extra_subnet, _model_extra_layer,
+    _model_extra_subnet, _model_extra_layer, _model_mlp_version_one, _weights_version_two,
 ], ids=["sample-nan-target", "train-meta-without-task", "sample-non-model",
         "eval-non-model", "eval-baseline-missing-field", "sample-model-without-blocks",
         "sample-model-nan-weight", "eval-model-zero-scale", "sample-model-extra-subnet",
-        "sample-model-extra-layer"])
+        "sample-model-extra-layer", "sample-model-mlp-version-one", "train-weights-version-two"])
 def test_malformed_input_is_data_error(model_file, dataset_dir, tmp_path, capsys, make_argv):
     out = tmp_path / "o"
     assert run(*make_argv(tmp_path, model_file, dataset_dir, out)) == 3
     assert capsys.readouterr().err.startswith("data error: ")
     assert not (out / SAMPLES_FILE).exists()
+
+
+def test_dataset_row_that_is_not_an_object_is_data_error(dataset_dir, tmp_path, capsys):
+    data = dataset_dir / DATASET_FILE
+    lines = data.read_text().splitlines()
+    lines[3] = "[1, 2]"
+    data.write_text("\n".join(lines) + "\n")
+    assert run("weights", "--dataset", dataset_dir, "--k", "2", "--epochs", "1",
+               "--out", tmp_path / "o") == 3
+    assert capsys.readouterr().err == (
+        f"data error: {data}: line 4 is not a JSON object with 'x' and 'y'\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"y": [0.5]}\n[1, 2]\n', "line 2 is not a JSON object with 'y'"),
+    ("", "no target rows"),
+], ids=["list-row", "empty"])
+def test_targets_file_without_object_rows_is_data_error(model_file, tmp_path, capsys, text,
+                                                        message):
+    targets = tmp_path / "targets.jsonl"
+    targets.write_text(text)
+    assert run("sample", "--model", model_file, "--targets", targets,
+               "--out", tmp_path / "o") == 3
+    assert capsys.readouterr().err == f"data error: {targets}: {message}\n"
 
 
 @pytest.fixture

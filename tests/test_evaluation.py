@@ -3,18 +3,76 @@ import math
 import numpy as np
 import pytest
 
+from ridkit import backend
 from ridkit.evaluation import (
     EvalConfig,
-    decomposition_check,
-    mc_expected_loss,
     regularized_incomplete_beta,
     resimulation_error,
     student_t_sf,
-    target_agnostic_robustness,
     welch_t_test,
 )
 from ridkit.flow import build_flow
-from ridkit.tasks import NOISE_MODES, TASK_NAMES, NoiseSpec, make_task, prior_sample, task_forward
+from ridkit.seeding import derive_seed
+from ridkit.tasks import (
+    NOISE_MODES,
+    TASK_NAMES,
+    NoiseSpec,
+    apply_noise_batch,
+    make_task,
+    prior_sample,
+    task_forward,
+)
+
+
+# Monte Carlo checks of the task noise models ---------------------------------------
+#
+# The expected squared loss L of a design against a target is R + B (see the
+# ridkit.evaluation docstring). The estimators below draw the noisy response of
+# one design from the task simulators and check the noise models against that
+# identity and against their closed-form variances.
+
+
+def _draws(task, noise, x_design, n, seed) -> np.ndarray:
+    x = np.asarray(x_design, dtype=np.float64).reshape(1, task.d_x)
+    rng = np.random.default_rng(seed)
+    return apply_noise_batch(task, noise, np.repeat(x, n, axis=0), rng)
+
+
+def mc_expected_loss(task, noise, x_design, y_target, n_draws, seed) -> float:
+    """Unbiased Monte Carlo estimate of the expected squared loss at x'."""
+    yt = np.asarray(y_target, dtype=np.float64).reshape(1, task.d_y)
+    y = _draws(task, noise, x_design, n_draws, seed)
+    return float(backend.row_sumsq_diff(y, np.repeat(yt, n_draws, axis=0)).mean())
+
+
+def target_agnostic_robustness(task, noise, x_design, n_draws, seed):
+    """(R, F_hat): spread of the noisy response around its own sample mean.
+
+    R carries the n/(n-1) small-sample correction; F_hat is the plain mean.
+    """
+    y = _draws(task, noise, x_design, n_draws, seed)
+    f_hat = y.mean(axis=0, keepdims=True)
+    dev = float(backend.row_sumsq_diff(y, np.repeat(f_hat, n_draws, axis=0)).mean())
+    return dev * n_draws / (n_draws - 1), f_hat[0]
+
+
+def decomposition_check(task, noise, x_design, y_target, n_draws, seed, shared_draws=True):
+    """Residual of L = R + B.
+
+    On one shared draw set the identity holds exactly (R taken as the
+    uncorrected second moment about the sample mean), so the residual is
+    pure float rounding. With independent draw sets the residual is a Monte
+    Carlo quantity that shrinks like 1/sqrt(n).
+    """
+    yt = np.asarray(y_target, dtype=np.float64).reshape(1, task.d_y)
+    y = _draws(task, noise, x_design, n_draws, seed)
+    loss = float(backend.row_sumsq_diff(y, np.repeat(yt, n_draws, axis=0)).mean())
+    if not shared_draws:
+        y = _draws(task, noise, x_design, n_draws, derive_seed(seed, "independent"))
+    f_hat = y.mean(axis=0, keepdims=True)
+    r_raw = float(backend.row_sumsq_diff(y, np.repeat(f_hat, n_draws, axis=0)).mean())
+    bias = float(((f_hat - yt) ** 2).sum())
+    return abs(loss - (r_raw + bias))
 
 
 def test_mc_loss_zero_on_noiseless_match():
@@ -211,7 +269,7 @@ def test_report_serialization_excludes_timing_by_default():
     rep = resimulation_error(model, task, NoiseSpec(mode="none"), targets, EvalConfig(seed=1))
     doc = rep.to_jsonable()
     assert "wall_clock_seconds" not in doc
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert len(doc["per_target_losses"]) == 2
     assert doc["config"] == {"n_targets": 128, "samples_per_target": 16, "seed": 1}
     assert rep.wall_clock_seconds > 0.0  # measured, only printed

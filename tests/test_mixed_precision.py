@@ -32,7 +32,7 @@ def _case(kind, rng, n=64):
     """A model with random (not identity) parameters, its value_and_gradients
     and a float64 batch of n rows."""
     if kind == "mlp":
-        model = init_mlp(MlpSpec(3, 2, (16, 16), "tanh"), rng)
+        model = init_mlp(MlpSpec(3, 2, (16, 16)), rng)
         batch = {"x": rng.standard_normal((n, 3)), "y": rng.standard_normal((n, 2)),
                  "mean_row": np.full((1, n), 1.0 / n)}
         vg = neural.value_and_gradients
@@ -126,7 +126,7 @@ def _fit_case(kind):
     y = np.column_stack([x[:, 0] * x[:, 1], np.sin(3.0 * x[:, 0])])
     y += 0.05 * rng.standard_normal((200, 2))
     if kind == "mlp":
-        model = init_mlp(MlpSpec(2, 2, (32, 32), "tanh"), np.random.default_rng(6))
+        model = init_mlp(MlpSpec(2, 2, (32, 32)), np.random.default_rng(6))
 
         def batch(idx, rng):
             return {"x": x[idx], "y": y[idx], "mean_row": np.full((1, idx.size), 1.0 / idx.size)}
