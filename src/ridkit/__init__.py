@@ -31,6 +31,7 @@ from .neural import (
     init_mlp,
     mlp_forward,
     train_regressor,
+    with_bias_column,
 )
 from .seeding import derive_seed
 from .tasks import (

@@ -27,6 +27,7 @@ from .neural import (
     mlp_forward,
     mlp_from_jsonable,
     mlp_to_jsonable,
+    with_bias_column,
 )
 
 __all__ = [
@@ -109,7 +110,7 @@ class FlowModel:
         rest = iter(arrays)
 
         def take(params: MlpParams) -> MlpParams:
-            return params.with_arrays(list(itertools.islice(rest, 2 * len(params.weights))))
+            return params.with_arrays(list(itertools.islice(rest, len(params.layers))))
 
         return replace(self, blocks=tuple(
             replace(blk, s_params=take(blk.s_params), t_params=take(blk.t_params))
@@ -170,9 +171,23 @@ def build_flow(
 # numpy fast paths (sampling / single-block ops) -----------------------------------
 
 
-def _subnet_outputs(block: CouplingBlock, u_passive: np.ndarray, cond: np.ndarray):
-    h = np.concatenate([u_passive, cond], axis=1)
-    return mlp_forward(block.s_params, h), mlp_forward(block.t_params, h)
+def _subnet_input(block: CouplingBlock, u: np.ndarray, cond1: np.ndarray) -> np.ndarray:
+    """[u_passive, cond, 1], the input both subnets share, from the condition
+    rows cond1 that already end in the constant column."""
+    return np.concatenate([u[:, list(block.passive)], cond1], axis=1) if block.passive else cond1
+
+
+def _coupling_forward(
+    block: CouplingBlock, u: np.ndarray, cond1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """coupling_forward on rows in the subnet dtype, with cond1 the
+    condition followed by the constant column (see with_bias_column)."""
+    h = _subnet_input(block, u, cond1)
+    s_raw, t = mlp_forward(block.s_params, h), mlp_forward(block.t_params, h)
+    out, s_eff = backend.coupling_fwd(u[:, list(block.active)], s_raw, t, block.clamp)
+    v = u.copy()
+    v[:, list(block.active)] = out
+    return v, s_eff.sum(axis=1, keepdims=True)
 
 
 def coupling_forward(
@@ -180,30 +195,25 @@ def coupling_forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Applies the block in the dtype of its subnet parameters; returns
     (v, per-row log-det column)."""
-    dtype = block.s_params.weights[0].dtype
+    dtype = block.s_params.layers[0].dtype
     u = np.asarray(u, dtype=dtype)
     cond = np.asarray(cond, dtype=dtype)
     if u.shape[0] != cond.shape[0]:
         raise ValueError("u and cond need equal row counts")
-    s_raw, t = _subnet_outputs(block, u[:, list(block.passive)], cond)
-    out, s_eff = backend.coupling_fwd(u[:, list(block.active)], s_raw, t, block.clamp)
-    v = u.copy()
-    v[:, list(block.active)] = out
-    return v, s_eff.sum(axis=1, keepdims=True)
+    return _coupling_forward(block, u, with_bias_column(cond, dtype))
 
 
 def _coupling_inverse_step(
-    block: CouplingBlock, v: np.ndarray, cond: np.ndarray, record: list | None = None
+    block: CouplingBlock, v: np.ndarray, cond1: np.ndarray, record: list | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of coupling_forward on float64 rows: u = (v - t) * exp(-s) on
-    the active half. Returns (u, per-row log-det column of the forward map).
+    """Inverse of coupling_forward: u = (v - t) * exp(-s) on the active
+    half, with cond1 the condition followed by the constant column. Returns
+    (u, per-row log-det column of the forward map).
 
     With a list for `record`, fills it with what _coupling_inverse_backward
     reads, reusing the subnet tapes of an earlier fill (see mlp_forward).
     """
-    active, passive = list(block.active), list(block.passive)
-    v_p = v[:, passive]
-    h = np.concatenate([v_p, cond], axis=1) if passive else cond
+    h = _subnet_input(block, v, cond1)
     s_tape = t_tape = None
     if record is not None:
         s_tape, t_tape = (record[1], record[2]) if record else ([], [])
@@ -211,6 +221,7 @@ def _coupling_inverse_step(
     t = mlp_forward(block.t_params, h, t_tape)
     s_eff = backend.softclamp(s_raw, block.clamp)
     e = np.exp(-s_eff)
+    active = list(block.active)
     diff = v[:, active] - t
     u = v.copy()
     u[:, active] = diff * e
@@ -245,7 +256,7 @@ def coupling_inverse(block: CouplingBlock, v: np.ndarray, cond: np.ndarray) -> n
     cond = np.asarray(cond, dtype=np.float64)
     if v.shape[0] != cond.shape[0]:
         raise ValueError("v and cond need equal row counts")
-    return _coupling_inverse_step(block, v, cond)[0]
+    return _coupling_inverse_step(block, v, with_bias_column(cond))[0]
 
 
 def flow_forward(
@@ -263,17 +274,17 @@ def flow_forward(
     y = np.asarray(y, dtype=np.float64)
     if z.shape[0] != y.shape[0]:
         raise ValueError("z and y need equal row counts")
-    dtype = model.blocks[0].s_params.weights[0].dtype
+    dtype = model.blocks[0].s_params.layers[0].dtype
     n = z.shape[0]
     x = np.empty((n, model.d_x))
     logdet = np.empty((n, 1))
     for start in range(0, n, _TILE_ROWS):
         rows = slice(start, start + _TILE_ROWS)
-        cond = ((y[rows] - model.y_shift) / model.y_scale).astype(dtype, copy=False)
+        cond1 = with_bias_column((y[rows] - model.y_shift) / model.y_scale, dtype)
         u, ld = z[rows].astype(dtype, copy=False), 0.0
         for blk, perm in zip(model.blocks, model.perms):
             u = u[:, list(perm)]
-            u, blk_ld = coupling_forward(blk, u, cond)
+            u, blk_ld = _coupling_forward(blk, u, cond1)
             ld = ld + blk_ld
         x[rows] = u * model.x_scale + model.x_shift
         logdet[rows] = ld
@@ -321,15 +332,15 @@ def _to_latent(model: FlowModel, x: np.ndarray, y: np.ndarray,
     `tape`, its k-th entry becomes the record of the k-th block inverted
     (block n-1-k); entries from an earlier call are reused.
     """
-    dtype = model.blocks[0].s_params.weights[0].dtype
+    dtype = model.blocks[0].s_params.layers[0].dtype
     xs = _standardized(x, model.x_shift, model.x_scale, dtype)
-    ys = _standardized(y, model.y_shift, model.y_scale, dtype)
+    ys1 = with_bias_column(_standardized(y, model.y_shift, model.y_scale, dtype), dtype)
     cur, log_det = xs, None
     for k, li in enumerate(reversed(range(len(model.blocks)))):
         if tape is not None and k == len(tape):
             tape.append([])
         record = None if tape is None else tape[k]
-        u, ld = _coupling_inverse_step(model.blocks[li], cur, ys, record)
+        u, ld = _coupling_inverse_step(model.blocks[li], cur, ys1, record)
         cur = u[:, np.argsort(model.perms[li])]
         log_det = ld if log_det is None else log_det + ld
     return cur, log_det

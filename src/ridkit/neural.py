@@ -24,6 +24,7 @@ __all__ = [
     "TrainingError",
     "init_mlp",
     "mlp_forward",
+    "with_bias_column",
     "value_and_gradients",
     "FlatAdam",
     "fit_minibatch",
@@ -59,27 +60,28 @@ class MlpSpec:
 
 @dataclass(frozen=True)
 class MlpParams:
+    """The parameters of an MLP, one (din + 1, dout) array per layer: the
+    weight matrix with the bias appended as its last row, so that a layer
+    is the one matmul [h, 1] @ [W; b]."""
+
     spec: MlpSpec
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    layers: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         expect = self.spec.layer_dims
-        if len(self.weights) != len(expect) or len(self.biases) != len(expect):
+        if len(self.layers) != len(expect):
             raise ValueError("layer count does not match spec")
-        for (din, dout), w, b in zip(expect, self.weights, self.biases):
-            if w.shape != (din, dout) or b.shape != (1, dout):
-                raise ValueError(
-                    f"layer shapes {w.shape}/{b.shape} do not chain for ({din}, {dout})"
-                )
+        for (din, dout), a in zip(expect, self.layers):
+            if a.shape != (din + 1, dout):
+                raise ValueError(f"layer shape {a.shape} is not ({din} + 1, {dout})")
 
     def arrays(self) -> list[np.ndarray]:
-        """The parameter arrays in training order: [w0, b0, w1, b1, ...]."""
-        return [a for layer in zip(self.weights, self.biases) for a in layer]
+        """The parameter arrays in training order: one per layer."""
+        return list(self.layers)
 
     def with_arrays(self, arrays: Sequence[np.ndarray]) -> MlpParams:
         """Inverse of arrays(): the same network over the given arrays."""
-        return MlpParams(self.spec, tuple(arrays[0::2]), tuple(arrays[1::2]))
+        return MlpParams(self.spec, tuple(arrays))
 
 
 def init_mlp(spec: MlpSpec, rng: np.random.Generator, zero_final: bool = False) -> MlpParams:
@@ -88,44 +90,68 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator, zero_final: bool = False) 
     zero_final additionally zeroes the last layer, which makes coupling
     blocks start as the identity map.
     """
-    weights, biases = [], []
+    layers = []
     layer_dims = spec.layer_dims
     for li, (din, dout) in enumerate(layer_dims):
         bound = np.sqrt(6.0 / (din + dout))
         w = rng.uniform(-bound, bound, size=(din, dout))
-        if zero_final and li == len(layer_dims) - 1:
-            w = np.zeros((din, dout))
-        weights.append(w)
-        biases.append(np.zeros((1, dout)))
-    return MlpParams(spec, tuple(weights), tuple(biases))
+        layer = np.zeros((din + 1, dout))
+        if not (zero_final and li == len(layer_dims) - 1):
+            layer[:-1] = w
+        layers.append(layer)
+    return MlpParams(spec, tuple(layers))
+
+
+def with_bias_column(x: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """[x, 1] in dtype: the rows of x followed by the constant column that
+    the input of mlp_forward carries."""
+    x = np.asarray(x)
+    out = np.empty((x.shape[0], x.shape[1] + 1), dtype=dtype)
+    out[:, :-1] = x
+    out[:, -1] = 1.0
+    return out
 
 
 def mlp_forward(params: MlpParams, x_batch: np.ndarray, tape: list | None = None) -> np.ndarray:
     """Network output for a batch of rows, computed in the dtype of the
     parameters.
 
+    Each row of x_batch is an input followed by the constant 1 (see
+    with_bias_column), so every layer, bias included, is one matmul; the
+    caller builds that column once for all the calls that share the rows.
+    Each hidden layer writes its matmul into the first columns of an
+    (n, dout + 1) array, takes tanh of the whole array and resets the last
+    column to 1, which makes the array the next layer's input.
+
     With a list for `tape`, records every layer's output in it, the input of
     the reverse pass _mlp_backward. A layer output already in the list with
     the right shape is rewritten in place, so a training loop that passes
     the same list every step keeps its layer outputs in the same buffers.
     """
-    x = np.asarray(x_batch, dtype=params.weights[0].dtype)
-    if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
-        raise ValueError(f"x_batch shape {x.shape} does not match input_dim {params.spec.input_dim}")
+    layers = params.layers
+    x = np.asarray(x_batch, dtype=layers[0].dtype)
+    if x.ndim != 2 or x.shape[1] != params.spec.input_dim + 1:
+        raise ValueError(f"x_batch shape {x.shape} is not (rows, input_dim {params.spec.input_dim}"
+                         " + the constant column)")
     h = x
-    last = len(params.weights) - 1
+    last = len(layers) - 1
     # one array per layer, fresh or the tape's own, updated in place: large
     # batches then reuse memory instead of faulting in new pages per temporary
-    for li, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if tape is not None and li < len(tape) and tape[li].shape == (h.shape[0], w.shape[1]):
-            h = np.matmul(h, w, out=tape[li])
+    for li, a in enumerate(layers):
+        shape = (h.shape[0], a.shape[1] + (li != last))
+        if tape is not None and li < len(tape) and tape[li].shape == shape:
+            out = tape[li]
         else:
-            h = h @ w
+            out = np.empty(shape, dtype=a.dtype)
             if tape is not None:
-                tape[li:li + 1] = [h]
-        h += b
-        if li != last:
-            np.tanh(h, out=h)
+                tape[li:li + 1] = [out]
+        if li == last:
+            np.matmul(h, a, out=out)
+        else:
+            np.matmul(h, a, out=out[:, :-1])
+            np.tanh(out, out=out)
+            out[:, -1] = 1.0
+        h = out
     return h
 
 
@@ -133,10 +159,15 @@ def _mlp_backward(params: MlpParams, x: np.ndarray, tape: Sequence[np.ndarray], 
                   grads: MlpParams) -> np.ndarray:
     """Reverse pass of mlp_forward(params, x, tape) for the output adjoint g.
 
-    Writes each layer's weight and bias gradient into the matching array of
-    `grads` and returns the adjoint of x.
+    Writes each layer's gradient into the matching array of `grads` (the
+    bias row comes out of the same matmul as the weights, through the
+    input's constant column) and returns the adjoint of x without that
+    column. A hidden layer's adjoint keeps the constant column too, so the
+    elementwise tanh step runs over whole contiguous arrays; 1 - 1*1 zeroes
+    that column before the slice that drops it.
     """
-    last = len(params.weights) - 1
+    layers = params.layers
+    last = len(layers) - 1
     for li in range(last, -1, -1):
         if li == last:
             d = g
@@ -144,9 +175,9 @@ def _mlp_backward(params: MlpParams, x: np.ndarray, tape: Sequence[np.ndarray], 
             d = tape[li] * tape[li]
             np.subtract(1.0, d, out=d)
             d *= g
-        np.sum(d, axis=0, keepdims=True, out=grads.biases[li])
-        np.matmul((tape[li - 1] if li else x).T, d, out=grads.weights[li])
-        g = d @ params.weights[li].T
+            d = d[:, :-1]
+        np.matmul((tape[li - 1] if li else x).T, d, out=grads.layers[li])
+        g = d @ (layers[li].T if li else layers[li][:-1].T)
     return g
 
 
@@ -251,7 +282,8 @@ def value_and_gradients(params: MlpParams, batch: Mapping[str, np.ndarray],
     """Batch-mean squared error of the MLP and its gradient, computed in the
     dtype of the parameters.
 
-    `batch` holds the rows "x" and "y" and "mean_row", a (1, batch) row of
+    `batch` holds the rows "x", each ending in the constant column of
+    mlp_forward's input, and "y" and "mean_row", a (1, batch) row of
     1/batch entries; they are cast to the parameter dtype, and only the
     final sum of the per-row errors into the loss runs in float64. Writes
     the gradient of every parameter array into the matching array of
@@ -260,7 +292,7 @@ def value_and_gradients(params: MlpParams, batch: Mapping[str, np.ndarray],
     `tape` may carry the layer outputs of an earlier call for reuse (see
     mlp_forward).
     """
-    dtype = params.weights[0].dtype
+    dtype = params.layers[0].dtype
     x = np.asarray(batch["x"], dtype=dtype)
     mean_row = batch["mean_row"]
     if tape is None:
@@ -351,11 +383,11 @@ def train_regressor(
         raise ValueError("training data does not match spec dims")
     if not (np.isfinite(x_train).all() and np.isfinite(y_train).all()):
         raise ValueError("training data must be finite")
-    # the steps compute in float32 (see fit_minibatch), so the rows are cast
-    # once; rows beyond float32 fail as training does on rows whose squared
-    # error overflows float64
+    # the steps compute in float32 (see fit_minibatch), so the rows are cast,
+    # and given their constant column, once; rows beyond float32 fail as
+    # training does on rows whose squared error overflows float64
     with np.errstate(over="ignore"):
-        x32, y32 = x_train.astype(np.float32), y_train.astype(np.float32)
+        x32, y32 = with_bias_column(x_train, np.float32), y_train.astype(np.float32)
     if not (np.isfinite(x32).all() and np.isfinite(y32).all()):
         raise TrainingError("training rows overflow float32")
     rng = np.random.default_rng(seed)
@@ -383,8 +415,8 @@ def mlp_to_jsonable(params: MlpParams) -> dict:
             "hidden": list(params.spec.hidden),
         },
         "layers": [
-            {"weight": w.ravel().tolist(), "bias": b.ravel().tolist()}
-            for w, b in zip(params.weights, params.biases)
+            {"weight": a[:-1].ravel().tolist(), "bias": a[-1].tolist()}
+            for a in params.layers
         ],
     }
 
@@ -399,11 +431,10 @@ def mlp_from_jsonable(doc: dict) -> MlpParams:
     if len(doc["layers"]) != len(spec.layer_dims):
         raise ValueError(f"mlp has {len(doc['layers'])} layers for a spec of "
                          f"{len(spec.layer_dims)}")
-    weights, biases = [], []
-    for (din, dout), layer in zip(spec.layer_dims, doc["layers"]):
-        weights.append(np.asarray(layer["weight"], dtype=np.float64).reshape(din, dout))
-        biases.append(np.asarray(layer["bias"], dtype=np.float64).reshape(1, dout))
-    params = MlpParams(spec, tuple(weights), tuple(biases))
+    params = MlpParams(spec, tuple(
+        np.vstack([np.asarray(layer["weight"], dtype=np.float64).reshape(din, dout),
+                   np.asarray(layer["bias"], dtype=np.float64).reshape(1, dout)])
+        for (din, dout), layer in zip(spec.layer_dims, doc["layers"])))
     if not all(np.isfinite(a).all() for a in params.arrays()):
         raise ValueError("mlp weights and biases must be finite")
     return params

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .neural import MlpSpec, TrainingError, mlp_forward, train_regressor
+from .neural import MlpSpec, TrainingError, mlp_forward, train_regressor, with_bias_column
 from .seeding import derive_seed
 from .tasks import Dataset
 
@@ -113,7 +113,7 @@ def _fold_errors(
         )
     except TrainingError as exc:
         raise TrainingError(f"fold {fold_id}: {exc}") from exc
-    pred = mlp_forward(params, dataset.x[valid_idx])
+    pred = mlp_forward(params, with_bias_column(dataset.x[valid_idx]))
     return backend.row_sumsq_diff(pred, dataset.y[valid_idx]).reshape(-1)
 
 

@@ -19,12 +19,17 @@ from ridkit.neural import (
     init_mlp,
     mlp_forward,
     value_and_gradients,
+    with_bias_column,
 )
+
+EPS32 = float(np.finfo(np.float32).eps)
 
 
 def _params(spec, weights, biases):
-    return MlpParams(spec, tuple(np.asarray(w, dtype=np.float64) for w in weights),
-                     tuple(np.asarray(b, dtype=np.float64) for b in biases))
+    """The MLP whose layers are [w; b] for the given weights and biases."""
+    return MlpParams(spec, tuple(np.vstack([np.asarray(w, dtype=np.float64),
+                                            np.asarray(b, dtype=np.float64)])
+                                 for w, b in zip(weights, biases, strict=True)))
 
 
 def _random_params(spec, rng):
@@ -39,16 +44,17 @@ def _nan_grads(model):
 
 
 def _backward(params, x, g):
-    tape = []
-    mlp_forward(params, x, tape)
+    """The reverse pass for rows x (without their constant column)."""
+    x1, tape = with_bias_column(x, params.layers[0].dtype), []
+    mlp_forward(params, x1, tape)
     grads = _nan_grads(params)
-    g_x = _mlp_backward(params, x, tape, g, grads)
+    g_x = _mlp_backward(params, x1, tape, g, grads)
     return g_x, grads
 
 
 def _batch(x, y):
     rows = x.shape[0]
-    return {"x": x, "y": y, "mean_row": np.full((1, rows), 1.0 / rows)}
+    return {"x": with_bias_column(x), "y": y, "mean_row": np.full((1, rows), 1.0 / rows)}
 
 
 def _value_and_gradients(params, batch):
@@ -61,8 +67,7 @@ def test_grad_matmul_by_hand():
     params = _params(spec, [[[1.0], [1.0]]], [[[0.5]]])
     g_x, grads = _backward(params, np.array([[1.0, 2.0]]), np.array([[1.0]]))
     np.testing.assert_array_equal(g_x, [[1.0, 1.0]])
-    np.testing.assert_array_equal(grads.weights[0], [[1.0], [2.0]])
-    np.testing.assert_array_equal(grads.biases[0], [[1.0]])
+    np.testing.assert_array_equal(grads.layers[0], [[1.0], [2.0], [1.0]])  # w, then b
 
 
 def test_tanh_grad_at_zero_is_one():
@@ -78,8 +83,7 @@ def test_grad_of_sum_of_squares():
     params = _params(MlpSpec(1, 1), [[[1.0]]], [[[0.0]]])
     loss, grads = _value_and_gradients(params, _batch(np.array([[3.0]]), np.array([[0.0]])))
     assert loss == 9.0
-    np.testing.assert_array_equal(grads.weights[0], [[18.0]])
-    np.testing.assert_array_equal(grads.biases[0], [[6.0]])
+    np.testing.assert_array_equal(grads.layers[0], [[18.0], [6.0]])
 
 
 @pytest.mark.parametrize("act", ["identity", "tanh"])
@@ -92,10 +96,10 @@ def test_dense_finite_diff(act):
     x = rng.standard_normal((5, 3))
 
     def probe():
-        out = mlp_forward(params, x)
+        out = mlp_forward(params, with_bias_column(x))
         return float((out * out).sum())
 
-    out = mlp_forward(params, x)
+    out = mlp_forward(params, with_bias_column(x))
     g_x, grads = _backward(params, x, out + out)
     # x first, then every parameter array with the gradient written for it
     arrays = [("x", x, g_x), *((f"array {i}", arr, grad) for i, (arr, grad)
@@ -116,22 +120,24 @@ def test_dense_finite_diff(act):
 
 def _composite_reference(params, x, y, mean_row, act):
     """The MSE loss and its gradient in plain numpy, one fresh array per
-    operation: h = tanh(x @ w0 + b0), out = h @ w1 + b1 (or out = x @ w0 + b0).
+    operation, with each layer L = [w; b] applied to its input and a column
+    of ones: h = tanh([x, 1] @ L0), out = [h, 1] @ L1 (or out = [x, 1] @ L0).
     The gradients come in MlpParams.arrays() order."""
-    w, b = params.weights, params.biases
+    layers = params.layers
+    x1 = np.hstack([x, np.ones((x.shape[0], 1))])
     if act == "identity":
-        diff = (x @ w[0] + b[0]) - y
+        diff = x1 @ layers[0] - y
     else:
-        h = np.tanh(x @ w[0] + b[0])
-        diff = (h @ w[1] + b[1]) - y
+        h = np.tanh(x1 @ layers[0])
+        h1 = np.hstack([h, np.ones((h.shape[0], 1))])
+        diff = h1 @ layers[1] - y
     loss = mean_row @ (diff * diff).sum(axis=1, keepdims=True)
     d_out = 2.0 * (mean_row.T * diff)
     if act == "identity":
-        return float(loss[0, 0]), [x.T @ d_out, d_out.sum(axis=0, keepdims=True)]
-    g_h = d_out @ w[1].T
+        return float(loss[0, 0]), [x1.T @ d_out]
+    g_h = d_out @ layers[1][:-1].T
     d_h = g_h * (1.0 - h * h)
-    return float(loss[0, 0]), [x.T @ d_h, d_h.sum(axis=0, keepdims=True),
-                               h.T @ d_out, d_out.sum(axis=0, keepdims=True)]
+    return float(loss[0, 0]), [x1.T @ d_h, h1.T @ d_out]
 
 
 @pytest.mark.parametrize("act", ["identity", "tanh"])
@@ -155,15 +161,13 @@ def test_gradient_wrt_unused_leaf_is_zero():
     rng = np.random.default_rng(4)
     spec = MlpSpec(3, 2, (3,))
     params = _random_params(spec, rng)
-    params.weights[0][:, 1] = 0.0
-    params.biases[0][0, 1] = 0.0
-    params.weights[1][1, :] = 0.0
+    params.layers[0][:, 1] = 0.0  # its weights and bias (the last row)
+    params.layers[1][1, :] = 0.0
     x, y = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
     _, grads = _value_and_gradients(params, _batch(x, y))
-    np.testing.assert_array_equal(grads.weights[0][:, 1], 0.0)
-    np.testing.assert_array_equal(grads.biases[0][:, 1], 0.0)
-    np.testing.assert_array_equal(grads.weights[1][1, :], 0.0)
-    assert np.abs(grads.weights[0][:, [0, 2]]).max() > 0.0
+    np.testing.assert_array_equal(grads.layers[0][:, 1], 0.0)
+    np.testing.assert_array_equal(grads.layers[1][1, :], 0.0)
+    assert np.abs(grads.layers[0][:, [0, 2]]).max() > 0.0
 
 
 def test_gradient_linearity_over_random_graphs():
@@ -237,11 +241,17 @@ def test_reverse_pass_writes_every_gradient_array(case):
         assert np.isfinite(g).all(), f"array {i} was not written"
 
 
+def _subnet_tapes(tape):
+    """The MLP tapes in a tape: the tape itself, or the s and t subnet tapes
+    of each flow block record."""
+    if tape and isinstance(tape[0], list):
+        return [t for record in tape for t in (record[1], record[2])]
+    return [tape]
+
+
 def _tape_arrays(tape):
-    """The activation arrays in a tape: the MLP's layer outputs, or the s and
-    t subnet outputs of each flow block record."""
-    return [a for entry in tape
-            for a in (entry[1] + entry[2] if isinstance(entry, list) else [entry])]
+    """The activation arrays in a tape: the layer outputs of its MLP tapes."""
+    return [a for t in _subnet_tapes(tape) for a in t]
 
 
 @pytest.mark.parametrize("kind", ["mlp", "flow"])
@@ -259,10 +269,15 @@ def test_tape_reused_across_calls_matches_a_fresh_tape(kind):
                     "w_row": np.full((1, n), 1.0 / n)} for n in sizes]
     tape, kept = [], []
     for batch in batches:
-        fresh, reused = _nan_grads(model), _nan_grads(model)
-        assert vg(model, batch, reused, tape) == vg(model, batch, fresh)
+        fresh, reused, fresh_tape = _nan_grads(model), _nan_grads(model), []
+        assert vg(model, batch, reused, tape) == vg(model, batch, fresh, fresh_tape)
         for a, b in zip(reused.arrays(), fresh.arrays(), strict=True):
             np.testing.assert_array_equal(a, b)
+        for a, b in zip(_tape_arrays(tape), _tape_arrays(fresh_tape), strict=True):
+            np.testing.assert_array_equal(a, b)
+        for layer_outputs in _subnet_tapes(tape):
+            for a in layer_outputs[:-1]:  # hidden layers end in the next layer's constant column
+                assert (a[:, -1] == 1.0).all()
         kept.append(_tape_arrays(tape))
     assert all(a is b for a, b in zip(kept[0], kept[1], strict=True))  # same size: rewritten
     assert not any(a is b for a, b in zip(kept[1], kept[2], strict=True))
@@ -288,3 +303,25 @@ def test_concurrent_value_and_gradients_on_one_graph():
         assert val == ref_val
         for got, ref in zip(grads.arrays(), ref_grads.arrays(), strict=True):
             np.testing.assert_array_equal(got, ref)
+
+
+def test_bias_row_gradient_is_the_column_sum_of_the_layer_adjoint():
+    # float32 at a training batch size: the bias row comes out of [h, 1].T @ d,
+    # which sums d's rows in BLAS order; it must match d.sum(axis=0), taken
+    # in float64 from the same float32 tape, within the float32 rounding
+    # bound of an n-term sum (plus the few roundings in d itself)
+    rng = np.random.default_rng(33)
+    n = 2000
+    params = _random_params(MlpSpec(3, 2, (64,)), rng)
+    params = params.with_arrays([a.astype(np.float32) for a in params.arrays()])
+    g = rng.standard_normal((n, 2)).astype(np.float32)
+    x1, tape = with_bias_column(rng.standard_normal((n, 3)), np.float32), []
+    mlp_forward(params, x1, tape)
+    grads = _nan_grads(params)
+    _mlp_backward(params, x1, tape, g, grads)
+    d_out = g.astype(np.float64)
+    t = tape[0][:, :-1].astype(np.float64)
+    d_h = (d_out @ params.layers[1][:-1].T.astype(np.float64)) * (1.0 - t * t)
+    for layer, d in zip(grads.layers, (d_h, d_out), strict=True):
+        bound = (n + 4) * (EPS32 / 2) * np.abs(d).sum(axis=0)
+        assert (np.abs(layer[-1] - d.sum(axis=0)) <= bound).all()

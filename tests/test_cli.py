@@ -475,10 +475,32 @@ def test_dataset_row_that_is_not_an_object_is_data_error(dataset_dir, tmp_path, 
         f"data error: {data}: line 4 is not a JSON object with 'x' and 'y'\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"x": [1.0, 2.0, 3.0], "y": [0.5]}', "line 4: 'x' is not a list of 2 numbers like line 1's"),
+    ('{"x": [1.0, 2.0], "y": {"a": 1}}', "line 4: 'y' is not a list of 1 numbers like line 1's"),
+    ('{"x": [1.0, "two"], "y": [0.5]}', "line 4: 'x' is not a list of 2 numbers like line 1's"),
+], ids=["ragged-x", "object-y", "string-in-x"])
+def test_dataset_row_with_a_misshapen_field_is_data_error(dataset_dir, tmp_path, capsys, line,
+                                                          message):
+    data = dataset_dir / DATASET_FILE
+    lines = data.read_text().splitlines()
+    lines[3] = line
+    data.write_text("\n".join(lines) + "\n")
+    assert run("weights", "--dataset", dataset_dir, "--k", "2", "--epochs", "1",
+               "--out", tmp_path / "o") == 3
+    assert capsys.readouterr().err == f"data error: {data}: {message}\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"y": [0.5]}\n[1, 2]\n', "line 2 is not a JSON object with 'y'"),
     ("", "no target rows"),
-], ids=["list-row", "empty"])
+    ('{"y": [0.5]}\n{"y": [0.25]}\n{"y": [1, 2]}\n',
+     "line 3: 'y' is not a list of 1 numbers like line 1's"),
+    ('{"y": 0.5}\n{"y": [1]}\n', "line 2: 'y' is not a number like line 1's"),
+    ('{"y": {"a": 1}}\n', "line 1: 'y' is not a number or a list of numbers"),
+    ('{"y": [0.5]}\n{"y": {"a": 1}}\n', "line 2: 'y' is not a list of 1 numbers like line 1's"),
+], ids=["list-row", "empty", "ragged-row", "list-after-number", "object-field",
+        "object-field-after-list"])
 def test_targets_file_without_object_rows_is_data_error(model_file, tmp_path, capsys, text,
                                                         message):
     targets = tmp_path / "targets.jsonl"

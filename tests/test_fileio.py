@@ -7,10 +7,19 @@ import numpy as np
 import pytest
 
 from ridkit.cli import main
-from ridkit.fileio import SAMPLES_FILE, read_json, read_targets, write_samples
+from ridkit.fileio import (
+    DATASET_FILE,
+    SAMPLES_FILE,
+    read_dataset,
+    read_json,
+    read_targets,
+    write_dataset,
+    write_samples,
+)
 from ridkit.flow import build_flow, flow_from_jsonable, flow_sample, flow_to_jsonable
 from ridkit.neural import init_mlp
 from ridkit.seeding import derive_seed
+from ridkit.tasks import Dataset, NoiseSpec, make_task
 
 
 def _rows(path):
@@ -100,3 +109,47 @@ def test_writer_streams_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def _edge_dataset():
+    edges = np.array([-0.0, 5e-324, 1e300, 1e-7, 2.0])
+    x = np.column_stack([edges, edges[::-1]])
+    return Dataset(x=x, y=edges[:, None], task=make_task("radian"),
+                   noise=NoiseSpec(mode="n_x", x_sigma=0.1, y_sigma=0.05, seed=0), seed=0)
+
+
+def test_dataset_rows_are_laid_out_as_json_dumps(tmp_path):
+    dataset = _edge_dataset()
+    path = write_dataset(tmp_path, dataset)
+    want = "".join(json.dumps({"x": xi.tolist(), "y": yi.tolist()}) + "\n"
+                   for xi, yi in zip(dataset.x, dataset.y))
+    assert path.read_bytes() == want.encode()
+    back = read_dataset(tmp_path)
+    np.testing.assert_array_equal(back.x, dataset.x)
+    assert math.copysign(1.0, back.x[0, 0]) == -1.0
+
+
+def test_dataset_writer_streams_rows(tmp_path):
+    # pipeline-large's shape: 16,000 rows of 5 values, which as one list of
+    # Python floats would take ~4 MB
+    rng = np.random.default_rng(5)
+    dataset = replace(_edge_dataset(), x=rng.standard_normal((16_000, 4)),
+                      y=rng.standard_normal((16_000, 1)))
+    tracemalloc.start()
+    try:
+        write_dataset(tmp_path, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_rows_with_surrounding_whitespace_are_read(tmp_path):
+    dataset = _edge_dataset()
+    path = write_dataset(tmp_path, dataset)
+    lines = path.read_text().splitlines()
+    lines[1] = "  " + lines[1]
+    lines[2] = lines[2] + " \t"
+    path.write_text("\n".join(lines) + "\n")
+    np.testing.assert_array_equal(read_dataset(tmp_path).y, dataset.y)
+    np.testing.assert_array_equal(read_targets(tmp_path / DATASET_FILE, 1), dataset.y)

@@ -20,7 +20,7 @@ from ridkit.flow import (
     train_flow_wnll,
     value_and_gradients,
 )
-from ridkit.neural import MlpParams, TrainingError, init_mlp, mlp_forward
+from ridkit.neural import TrainingError, init_mlp, mlp_forward, with_bias_column
 
 
 def _randomized(model, seed):
@@ -47,15 +47,19 @@ def test_identity_init_block_is_identity():
     np.testing.assert_array_equal(coupling_inverse(model.blocks[0], u, cond), u)
 
 
+def _with_final_bias(params, value):
+    """params with every output bias (the last row of the last layer) set to value."""
+    layers = [a.copy() for a in params.layers]
+    layers[-1][-1] = value
+    return params.with_arrays(layers)
+
+
 def test_constant_log2_scale_doubles_active_coordinate():
     # force the scale subnet to emit exactly log 2 through the soft clamp
     model = build_flow(2, 1, n_blocks=1, hidden=(4,), clamp=2.0, seed=0)
     blk = model.blocks[0]
     raw_bias = math.tan(math.log(2.0) * math.pi / (2.0 * blk.clamp))
-    s = blk.s_params
-    new_biases = list(s.biases)
-    new_biases[-1] = np.full_like(new_biases[-1], raw_bias)
-    blk = replace(blk, s_params=MlpParams(s.spec, s.weights, tuple(new_biases)))
+    blk = replace(blk, s_params=_with_final_bias(blk.s_params, raw_bias))
     u = np.array([[3.0, 5.0]])
     v, logdet = coupling_forward(blk, u, np.zeros((1, 1)))
     active = blk.active[0]
@@ -66,10 +70,7 @@ def test_constant_log2_scale_doubles_active_coordinate():
 def test_constant_shift_inverse_subtracts():
     model = build_flow(2, 1, n_blocks=1, hidden=(4,), seed=0)
     blk = model.blocks[0]
-    t = blk.t_params
-    new_biases = list(t.biases)
-    new_biases[-1] = np.ones_like(new_biases[-1])
-    blk = replace(blk, t_params=MlpParams(t.spec, t.weights, tuple(new_biases)))
+    blk = replace(blk, t_params=_with_final_bias(blk.t_params, 1.0))
     u = np.array([[0.25, -1.5]])
     cond = np.zeros((1, 1))
     v, _ = coupling_forward(blk, u, cond)
@@ -204,7 +205,7 @@ def test_clamp_bounds_every_log_scale():
     u = 50.0 * rng.standard_normal((500, 2))  # extreme inputs push atan to saturation
     cond = 50.0 * rng.standard_normal((500, 1))
     for blk in model.blocks:
-        h = np.concatenate([u[:, list(blk.passive)], cond], axis=1)
+        h = with_bias_column(np.concatenate([u[:, list(blk.passive)], cond], axis=1))
         s_raw = mlp_forward(blk.s_params, h)
         s_eff = np.arctan(s_raw) * (clamp * 2.0 / math.pi)
         assert np.abs(s_eff).max() < clamp
@@ -343,7 +344,7 @@ def test_wnll_none_weights_matches_all_ones_bitwise():
     m2, t2 = train_flow_wnll(model, x, y, np.ones(50), cfg)
     assert t1 == t2
     for b1, b2 in zip(m1.blocks, m2.blocks):
-        for w1, w2 in zip(b1.s_params.weights, b2.s_params.weights):
+        for w1, w2 in zip(b1.s_params.layers, b2.s_params.layers, strict=True):
             np.testing.assert_array_equal(w1, w2)
 
 

@@ -33,8 +33,8 @@ def _case(kind, rng, n=64):
     and a float64 batch of n rows."""
     if kind == "mlp":
         model = init_mlp(MlpSpec(3, 2, (16, 16)), rng)
-        batch = {"x": rng.standard_normal((n, 3)), "y": rng.standard_normal((n, 2)),
-                 "mean_row": np.full((1, n), 1.0 / n)}
+        batch = {"x": neural.with_bias_column(rng.standard_normal((n, 3))),
+                 "y": rng.standard_normal((n, 2)), "mean_row": np.full((1, n), 1.0 / n)}
         vg = neural.value_and_gradients
     else:
         model = flow.build_flow(3, 2, n_blocks=3, hidden=(16,), seed=1)
@@ -127,9 +127,10 @@ def _fit_case(kind):
     y += 0.05 * rng.standard_normal((200, 2))
     if kind == "mlp":
         model = init_mlp(MlpSpec(2, 2, (32, 32)), np.random.default_rng(6))
+        x1 = neural.with_bias_column(x)
 
         def batch(idx, rng):
-            return {"x": x[idx], "y": y[idx], "mean_row": np.full((1, idx.size), 1.0 / idx.size)}
+            return {"x": x1[idx], "y": y[idx], "mean_row": np.full((1, idx.size), 1.0 / idx.size)}
 
         return neural.value_and_gradients, model, batch
     model = flow.build_flow(2, 2, n_blocks=4, hidden=(32, 32), seed=6)
@@ -175,4 +176,4 @@ def test_trained_models_are_float64():
                                     flow.WnllConfig(epochs=2, batch_size=16))
     for a in params.arrays() + model.arrays():
         assert a.dtype == np.float64
-    assert neural.mlp_forward(params, x).dtype == np.float64
+    assert neural.mlp_forward(params, neural.with_bias_column(x)).dtype == np.float64

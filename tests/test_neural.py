@@ -13,6 +13,7 @@ from ridkit.neural import (
     mlp_to_jsonable,
     train_regressor,
     value_and_gradients,
+    with_bias_column,
 )
 
 
@@ -22,15 +23,26 @@ def _mse(y_pred, y_true) -> float:
 
 def test_zero_linear_model_outputs_zero():
     spec = MlpSpec(3, 2)
-    params = MlpParams(spec, (np.zeros((3, 2)),), (np.zeros((1, 2)),))
-    out = mlp_forward(params, np.random.default_rng(0).standard_normal((5, 3)))
+    params = MlpParams(spec, (np.zeros((4, 2)),))
+    out = mlp_forward(params, with_bias_column(np.random.default_rng(0).standard_normal((5, 3))))
     np.testing.assert_array_equal(out, np.zeros((5, 2)))
 
 
 def test_identity_weight_linear_layer():
     spec = MlpSpec(2, 2)
-    params = MlpParams(spec, (np.eye(2),), (np.zeros((1, 2)),))
-    np.testing.assert_array_equal(mlp_forward(params, [[1.0, 2.0]]), [[1.0, 2.0]])
+    params = MlpParams(spec, (np.vstack([np.eye(2), np.zeros((1, 2))]),))
+    np.testing.assert_array_equal(mlp_forward(params, [[1.0, 2.0, 1.0]]), [[1.0, 2.0]])
+
+
+def test_forward_rejects_rows_without_the_constant_column():
+    params = init_mlp(MlpSpec(2, 1, (4,)), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="constant column"):
+        mlp_forward(params, np.zeros((3, 2)))
+
+
+def test_params_reject_a_layer_without_its_bias_row():
+    with pytest.raises(ValueError, match="layer shape"):
+        MlpParams(MlpSpec(2, 1), (np.zeros((2, 1)),))
 
 
 def test_hidden_layer_bias_determines_output_at_zero():
@@ -40,9 +52,9 @@ def test_hidden_layer_bias_determines_output_at_zero():
     b1 = np.array([[0.5, 0.25]])
     w2 = np.array([[2.0], [1.0]])
     b2 = np.array([[0.1]])
-    params = MlpParams(spec, (w1, w2), (b1, b2))
+    params = MlpParams(spec, (np.vstack([w1, b1]), np.vstack([w2, b2])))
     expected = 2.0 * np.tanh(0.5) + 1.0 * np.tanh(0.25) + 0.1
-    np.testing.assert_allclose(mlp_forward(params, [[0.0]]), [[expected]])
+    np.testing.assert_allclose(mlp_forward(params, [[0.0, 1.0]]), [[expected]])
 
 
 def test_mse_hand_values():
@@ -117,8 +129,8 @@ def test_glorot_init_bounds():
     spec = MlpSpec(10, 4, (8,))
     params = init_mlp(spec, np.random.default_rng(0))
     bound0 = np.sqrt(6.0 / (10 + 8))
-    assert np.abs(params.weights[0]).max() <= bound0
-    assert np.all(params.biases[0] == 0.0)
+    assert np.abs(params.layers[0][:-1]).max() <= bound0
+    assert np.all(params.layers[0][-1] == 0.0)
 
 
 def test_train_regressor_fits_noiseless_linear_rule():
@@ -128,7 +140,7 @@ def test_train_regressor_fits_noiseless_linear_rule():
     params, trace = train_regressor(
         MlpSpec(1, 1, (16,)), (x, y), epochs=400, batch_size=64, seed=0, weight_decay=0.0,
     )
-    assert _mse(mlp_forward(params, x), y) < 1e-3
+    assert _mse(mlp_forward(params, with_bias_column(x)), y) < 1e-3
     assert len(trace) == 400
 
 
@@ -137,7 +149,7 @@ def test_train_regressor_constant_zero_target():
     x = rng.standard_normal((200, 2))
     y = np.zeros((200, 1))
     params, _ = train_regressor(MlpSpec(2, 1, (8,)), (x, y), epochs=100, batch_size=50, seed=0)
-    assert _mse(mlp_forward(params, x), y) < 1e-4
+    assert _mse(mlp_forward(params, with_bias_column(x)), y) < 1e-4
 
 
 def test_train_regressor_recovers_mean_function_under_noise():
@@ -150,9 +162,10 @@ def test_train_regressor_recovers_mean_function_under_noise():
     params, _ = train_regressor(
         MlpSpec(1, 1, (32,)), (x[:3500], y[:3500]), epochs=120, batch_size=128, seed=0,
     )
-    held_out_mse = _mse(mlp_forward(params, x[3500:]), y[3500:])
+    pred = mlp_forward(params, with_bias_column(x))
+    held_out_mse = _mse(pred[3500:], y[3500:])
     assert held_out_mse == pytest.approx(sigma**2, rel=0.5)
-    clean_err = np.sqrt(_mse(mlp_forward(params, x), x))
+    clean_err = np.sqrt(_mse(pred, x))
     assert clean_err < sigma
 
 
@@ -163,7 +176,7 @@ def test_train_regressor_reproducible():
     a = train_regressor(MlpSpec(2, 1, (8,)), (x, y), epochs=20, batch_size=32, seed=5)
     b = train_regressor(MlpSpec(2, 1, (8,)), (x, y), epochs=20, batch_size=32, seed=5)
     assert a[1] == b[1]
-    for wa, wb in zip(a[0].weights, b[0].weights):
+    for wa, wb in zip(a[0].layers, b[0].layers, strict=True):
         np.testing.assert_array_equal(wa, wb)
 
 
@@ -181,13 +194,17 @@ def test_train_regressor_rejects_non_finite_data(where, bad):
         train_regressor(MlpSpec(2, 1, (4,)), (data["x"], data["y"]), 1, 8, 0)
 
 
+def _with_random_biases(params, rng):
+    """params with standard normal biases in place of init_mlp's zeros."""
+    return params.with_arrays([np.vstack([a[:-1], rng.standard_normal((1, a.shape[1]))])
+                               for a in params.layers])
+
+
 def test_value_and_gradients_match_finite_differences():
     rng = np.random.default_rng(23)
     spec = MlpSpec(3, 2, (6, 5))
-    params = init_mlp(spec, rng)
-    params = MlpParams(spec, params.weights,
-                       tuple(rng.standard_normal(b.shape) for b in params.biases))
-    x = rng.standard_normal((9, 3))
+    params = _with_random_biases(init_mlp(spec, rng), rng)
+    x = with_bias_column(rng.standard_normal((9, 3)))
     y = rng.standard_normal((9, 2))
     batch = {"x": x, "y": y, "mean_row": np.full((1, 9), 1.0 / 9)}
     grads = params.with_arrays([np.zeros_like(a) for a in params.arrays()])
@@ -213,7 +230,7 @@ def test_non_finite_loss_returns_before_the_reverse_pass():
     rng = np.random.default_rng(24)
     params = init_mlp(MlpSpec(3, 2, (6,)), rng)
     # squared errors of 1e200 overflow the loss; the gradient rows would not
-    batch = {"x": rng.standard_normal((9, 3)), "y": np.full((9, 2), 1e200),
+    batch = {"x": with_bias_column(rng.standard_normal((9, 3))), "y": np.full((9, 2), 1e200),
              "mean_row": np.full((1, 9), 1.0 / 9)}
     grads = params.with_arrays([np.full_like(a, 7.0) for a in params.arrays()])
     assert value_and_gradients(params, batch, grads) == np.inf
@@ -223,12 +240,12 @@ def test_non_finite_loss_returns_before_the_reverse_pass():
 def test_arrays_round_trip_through_with_arrays():
     params = init_mlp(MlpSpec(3, 2, (5, 4)), np.random.default_rng(8))
     arrays = params.arrays()
-    assert [a.shape for a in arrays] == [(3, 5), (1, 5), (5, 4), (1, 4), (4, 2), (1, 2)]
+    assert [a.shape for a in arrays] == [(4, 5), (6, 4), (5, 2)]  # [w; b] per layer
     back = params.with_arrays(arrays)
     assert back.spec == params.spec
     assert all(a is b for a, b in zip(back.arrays(), arrays, strict=True))
     with pytest.raises(ValueError):
-        params.with_arrays(arrays[:-2])
+        params.with_arrays(arrays[:-1])
 
 
 def test_mlp_spec_validation():
@@ -239,12 +256,16 @@ def test_mlp_spec_validation():
 
 
 def test_mlp_serialization_round_trip():
-    params = init_mlp(MlpSpec(3, 2, (5, 4)), np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    params = _with_random_biases(init_mlp(MlpSpec(3, 2, (5, 4)), rng), rng)
     doc = mlp_to_jsonable(params)
     assert doc["spec"] == {"input_dim": 3, "output_dim": 2, "hidden": [5, 4]}
+    # the file keeps separate weight and bias lists
+    assert doc["layers"][0]["weight"] == params.layers[0][:-1].ravel().tolist()
+    assert doc["layers"][0]["bias"] == params.layers[0][-1].tolist()
     back = mlp_from_jsonable(doc)
     assert back.spec == params.spec
-    for w1, w2 in zip(params.weights, back.weights):
+    for w1, w2 in zip(params.layers, back.layers, strict=True):
         np.testing.assert_array_equal(w1, w2)
     assert doc["format_version"] == 2
 
@@ -309,15 +330,13 @@ def test_train_regressor_rejects_rows_that_overflow_float32():
 def test_in_place_forward_bitwise_equals_fresh_arrays():
     rng = np.random.default_rng(22)
     spec = MlpSpec(3, 2, (16, 8))
-    params = init_mlp(spec, rng)
-    params = MlpParams(spec, params.weights,
-                       tuple(rng.standard_normal(b.shape) for b in params.biases))
-    x = rng.standard_normal((50, 3))
+    params = _with_random_biases(init_mlp(spec, rng), rng)
+    x = with_bias_column(rng.standard_normal((50, 3)))
     h = x
-    for li, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if li < len(params.weights) - 1:
-            h = np.tanh(h)
+    for li, layer in enumerate(params.layers):
+        h = h @ layer
+        if li < len(params.layers) - 1:
+            h = np.hstack([np.tanh(h), np.ones((h.shape[0], 1))])
     x_before = x.copy()
     np.testing.assert_array_equal(mlp_forward(params, x), h)
     np.testing.assert_array_equal(x, x_before)
@@ -327,7 +346,7 @@ def test_in_place_forward_bitwise_equals_fresh_arrays():
 def test_forward_computes_in_the_parameter_dtype(dtype):
     params = init_mlp(MlpSpec(3, 2, (8,)), np.random.default_rng(23))
     cast = params.with_arrays([a.astype(dtype) for a in params.arrays()])
-    x = np.random.default_rng(24).standard_normal((5, 3))
+    x = with_bias_column(np.random.default_rng(24).standard_normal((5, 3)))
     out = mlp_forward(cast, x)
     assert out.dtype == dtype
     np.testing.assert_allclose(out, mlp_forward(params, x), rtol=0,
