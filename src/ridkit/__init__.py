@@ -45,9 +45,7 @@ from .tasks import (
     task_forward,
 )
 from .weights import (
-    RobustnessEstimate,
     WeightConfig,
-    WeightVector,
     estimate_sample_robustness,
     kfold_split,
     robustness_to_weights,

@@ -176,7 +176,8 @@ def _run_config(values: dict) -> RunConfig:
 
 
 def _pipeline_defaults() -> dict:
-    """RunConfig's defaults, spelled as a RunConfig file spells them."""
+    """RunConfig's defaults, spelled as a RunConfig file spells them; the
+    perfbench harness tests check the benchmark's RunConfig against them."""
     defaults = asdict(RunConfig())
     return {**defaults, "hidden": list(defaults["hidden"])}
 
@@ -204,7 +205,7 @@ def cmd_weights(args) -> int:
     r = estimate_sample_robustness(dataset, cfg, threads=args.threads)
     w = robustness_to_weights(r, cfg.tau, cfg.eps)
     write_weights(_out_dir(args) / WEIGHTS_FILE, w, cfg, sha256_of(dataset_path(args.dataset)))
-    print(f"min={w.w.min():.6f} mean={w.w.mean():.6f} max={w.w.max():.6f}")
+    print(f"min={w.min():.6f} mean={w.mean():.6f} max={w.max():.6f}")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .tasks import Dataset, NoiseSpec, make_task
-from .weights import WeightConfig, WeightVector
+from .weights import WeightConfig
 
 __all__ = [
     "DataError",
@@ -250,7 +250,7 @@ def write_samples(path: Path, targets: np.ndarray, samples: np.ndarray) -> None:
             fh.write(row % (*t.tolist(), *s.tolist()))
 
 
-def write_weights(path: Path, weights: WeightVector, cfg: WeightConfig,
+def write_weights(path: Path, weights: np.ndarray, cfg: WeightConfig,
                   dataset_sha256: str) -> None:
     """Writes the weights with the sha256 of the dataset file they score."""
     write_json(
@@ -260,7 +260,7 @@ def write_weights(path: Path, weights: WeightVector, cfg: WeightConfig,
             "kind": "sample-weights",
             "dataset_sha256": dataset_sha256,
             "config": asdict(cfg),
-            "weights": weights.w.tolist(),
+            "weights": weights.tolist(),
         },
     )
 

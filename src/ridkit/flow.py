@@ -80,6 +80,11 @@ class CouplingBlock:
 
 @dataclass(frozen=True)
 class FlowModel:
+    """Coupling blocks over d_x coordinates conditioned on d_y. Each block
+    splits 0..d_x-1 into active and passive coordinates, its subnets map
+    [passive, y] to one value per active coordinate, and all blocks share
+    one clamp; construction checks all three."""
+
     d_x: int
     d_y: int
     blocks: tuple[CouplingBlock, ...]
@@ -97,6 +102,20 @@ class FlowModel:
         for p in self.perms:
             if sorted(p) != list(range(self.d_x)):
                 raise ValueError(f"{p} is not a permutation of 0..{self.d_x - 1}")
+        for li, blk in enumerate(self.blocks):
+            if sorted(blk.active + blk.passive) != list(range(self.d_x)):
+                raise ValueError(f"coupling-flow mask {list(blk.active)} is not a set of "
+                                 f"coordinates with passive {list(blk.passive)} as its "
+                                 f"complement in 0..{self.d_x - 1}")
+            want = (len(blk.passive) + self.d_y, len(blk.active))
+            for name, params in (("s", blk.s_params), ("t", blk.t_params)):
+                got = (params.spec.input_dim, params.spec.output_dim)
+                if got != want:
+                    raise ValueError(f"block {li}: {name} subnet maps {got[0]} -> {got[1]} "
+                                     f"values, not {want[0]} -> {want[1]}")
+            if blk.clamp != self.blocks[0].clamp:
+                raise ValueError(f"block {li}: clamp {blk.clamp} differs from block 0's "
+                                 f"{self.blocks[0].clamp}")
 
     def arrays(self) -> list[np.ndarray]:
         """The subnet arrays in training order: each block's s arrays, then
@@ -404,7 +423,6 @@ class WnllConfig:
     batch_size: int = 256
     seed: int = 0
     learning_rate: float = 1e-3
-    weight_decay: float = 1e-5
     sigma_aug: float = 1e-3  # additive x jitter during training
 
     def __post_init__(self):
@@ -471,7 +489,7 @@ def train_flow_wnll(
         return {"x": xb, "y": y[idx], "w_row": (w[idx] / nb).reshape(1, nb)}
 
     return fit_minibatch(value_and_gradients, work, batch, n, cfg.epochs, cfg.batch_size,
-                         rng, cfg.learning_rate, cfg.weight_decay)
+                         rng, cfg.learning_rate)
 
 
 # serialization ---------------------------------------------------------------------
@@ -502,9 +520,9 @@ def flow_to_jsonable(model: FlowModel) -> dict:
 def flow_from_jsonable(doc: dict) -> FlowModel:
     """Inverse of flow_to_jsonable. Raises ValueError for a document that is
     not a coupling-flow model, misses or mistypes one of its fields, holds
-    a non-finite number or a non-positive scale or clamp, masks a
-    coordinate twice or one outside 0..d_x-1, or gives masks, subnets,
-    permutations or subnet layers in counts that do not match."""
+    a non-finite number or a non-positive scale or clamp, gives masks,
+    subnets, permutations or subnet layers in counts that do not match, or
+    lays them out in a way FlowModel rejects."""
     if not isinstance(doc, dict) or doc.get("kind") != "coupling-flow":
         raise ValueError("not a coupling-flow model document")
     if doc.get("format_version") != FLOW_FORMAT_VERSION:
@@ -518,8 +536,6 @@ def flow_from_jsonable(doc: dict) -> FlowModel:
         blocks = []
         for mask, nets in zip(doc["masks"], doc["subnets"]):
             active = tuple(int(i) for i in mask)
-            if len(set(active)) != len(active) or not set(active) <= set(range(d_x)):
-                raise ValueError(f"coupling-flow mask {list(active)} is not a set of coordinates")
             passive = tuple(i for i in range(d_x) if i not in active)
             blocks.append(
                 CouplingBlock(

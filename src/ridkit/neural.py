@@ -3,7 +3,7 @@ the training loop.
 
 fit_minibatch is the one minibatch Adam loop; train_regressor and the
 flow's weighted-likelihood fit both run through it, each with its own
-value_and_gradients.
+value_and_gradients and learning rate, and one fixed weight decay.
 
 The regressors serve two roles: forward surrogates that estimate the mean
 response of a noisy process (their held-out error is the per-sample
@@ -186,6 +186,7 @@ def _mlp_backward(params: MlpParams, x: np.ndarray, tape: Sequence[np.ndarray], 
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPSILON = 1e-8
+_WEIGHT_DECAY = 1e-5
 
 
 def _adam_update(p, g, m, v, t, lr, wd, tmp, tmp2) -> None:
@@ -229,12 +230,10 @@ class FlatAdam:
     parameter buffer without copies.
     """
 
-    def __init__(self, arrays: Sequence[np.ndarray], learning_rate: float = 1e-3,
-                 weight_decay: float = 1e-5):
+    def __init__(self, arrays: Sequence[np.ndarray], learning_rate: float = 1e-3):
         if learning_rate < 0.0:
             raise ValueError("learning_rate must be >= 0")
         self.learning_rate = learning_rate
-        self.weight_decay = weight_decay
         self._shapes = [np.shape(a) for a in arrays]
         self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
         self.grads, self._m, self._v, self._tmp, self._tmp2 = (
@@ -264,7 +263,7 @@ class FlatAdam:
         """
         self.step_count += 1
         _adam_update(self.params, self.grads, self._m, self._v, self.step_count,
-                     self.learning_rate, self.weight_decay, self._tmp, self._tmp2)
+                     self.learning_rate, _WEIGHT_DECAY, self._tmp, self._tmp2)
         with np.errstate(over="ignore"):
             np.copyto(self.params32, self.params, casting="same_kind")
         # a non-finite float64 parameter stays non-finite in the copy
@@ -309,6 +308,8 @@ def value_and_gradients(params: MlpParams, batch: Mapping[str, np.ndarray],
 
 # training -----------------------------------------------------------------------
 
+# the Adam step size of every train_regressor fit
+_REGRESSOR_LEARNING_RATE = 1e-3
 
 Model = TypeVar("Model")  # MlpParams or flow.FlowModel: has arrays() and with_arrays()
 
@@ -322,7 +323,6 @@ def fit_minibatch(
     batch_size: int,
     rng: np.random.Generator,
     learning_rate: float,
-    weight_decay: float,
 ) -> tuple[Model, list[float]]:
     """Minibatch Adam on a batch-mean scalar loss, in mixed precision.
 
@@ -340,7 +340,7 @@ def fit_minibatch(
     large batches, page-faulting in) fresh ones. Returns the trained model
     and the per-epoch mean loss.
     """
-    opt = FlatAdam(model.arrays(), learning_rate, weight_decay)
+    opt = FlatAdam(model.arrays(), learning_rate)
     work = model.with_arrays(opt.views(opt.params32))
     grads = model.with_arrays(opt.views(opt.grads32))
     tape: list = []
@@ -366,11 +366,10 @@ def train_regressor(
     epochs: int,
     batch_size: int,
     seed: int,
-    learning_rate: float = 1e-3,
-    weight_decay: float = 1e-5,
 ) -> tuple[MlpParams, list[float]]:
-    """Minibatch Adam on batch-mean MSE, with float32 forward and reverse
-    passes (see fit_minibatch); reproducible under the seed.
+    """Minibatch Adam on batch-mean MSE at learning rate
+    _REGRESSOR_LEARNING_RATE, with float32 forward and reverse passes (see
+    fit_minibatch); reproducible under the seed.
 
     Returns the final float64 parameters and the per-epoch mean training
     MSE. Raises TrainingError when a training row overflows float32.
@@ -397,7 +396,7 @@ def train_regressor(
                 "mean_row": np.full((1, idx.size), 1.0 / idx.size)}
 
     return fit_minibatch(value_and_gradients, init_mlp(spec, rng), batch, n,
-                         epochs, batch_size, rng, learning_rate, weight_decay)
+                         epochs, batch_size, rng, _REGRESSOR_LEARNING_RATE)
 
 
 # serialization -------------------------------------------------------------------

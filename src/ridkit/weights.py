@@ -6,7 +6,8 @@ cross-validation folds and the pair's held-out squared prediction error is
 its raw robustness score r (small = predictable = robust). Scores are
 normalized to mean 1, mapped through w = exp(-tau * r), renormalized to
 mean 1, and floored by eps, so noisy samples are suppressed smoothly
-instead of discarded.
+instead of discarded. Scores and weights are plain float64 arrays, one
+entry per dataset row.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .tasks import Dataset
 
 __all__ = [
     "WeightConfig",
-    "RobustnessEstimate",
-    "WeightVector",
     "kfold_split",
     "estimate_sample_robustness",
     "robustness_to_weights",
@@ -60,33 +59,6 @@ class WeightConfig:
             raise ValueError(f"dataset of {n} rows is too small for k={self.k_folds} folds")
 
 
-@dataclass(frozen=True)
-class RobustnessEstimate:
-    """Held-out squared prediction errors, normalized to mean 1.
-
-    When every raw score is zero (perfectly predictable data) the
-    normalization is skipped and all scores stay 0, which maps to uniform
-    weights downstream.
-    """
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        if self.r.ndim != 1:
-            raise ValueError("r must be 1-D")
-        if np.any(self.r < 0):
-            raise ValueError("robustness scores must be >= 0")
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    w: np.ndarray
-
-    def __post_init__(self):
-        if self.w.ndim != 1 or not np.isfinite(self.w).all() or np.any(self.w <= 0):
-            raise ValueError("weights must be a 1-D finite positive vector")
-
-
 def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Seeded shuffle, then k disjoint near-equal index sets covering 0..n-1."""
     if not 2 <= k <= n:
@@ -119,8 +91,10 @@ def _fold_errors(
 
 def estimate_sample_robustness(
     dataset: Dataset, cfg: WeightConfig, threads: int = 1
-) -> RobustnessEstimate:
-    """Cross-validated held-out errors for every sample, mean-normalized.
+) -> np.ndarray:
+    """Cross-validated held-out errors for every sample, normalized to mean
+    1, or all 0 when every raw error is 0 (robustness_to_weights maps that
+    to uniform weights).
 
     Each fold trains a freshly initialized surrogate on the remaining
     folds; folds are independent, so threads > 1 runs them concurrently
@@ -144,18 +118,17 @@ def estimate_sample_robustness(
     mean = r.mean()
     if mean > 0:
         r = r / mean
-    return RobustnessEstimate(r=r)
+    return r
 
 
-def robustness_to_weights(
-    r: RobustnessEstimate | np.ndarray, tau: float, eps: float
-) -> WeightVector:
-    """w = exp(-tau * r), renormalized to mean 1, plus the eps floor."""
+def robustness_to_weights(r: np.ndarray, tau: float, eps: float) -> np.ndarray:
+    """w = exp(-tau * r), renormalized to mean 1, plus the eps floor, for
+    scores as estimate_sample_robustness returns them."""
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    scores = r.r if isinstance(r, RobustnessEstimate) else np.asarray(r, dtype=np.float64)
+    scores = np.asarray(r, dtype=np.float64)
     mean_r = scores.mean()
     if not (scores == 0).all() and abs(mean_r - 1.0) > 1e-6:
         raise ValueError(f"robustness scores must be mean-normalized, got mean {mean_r}")
@@ -165,4 +138,4 @@ def robustness_to_weights(
         w = np.ones_like(w)
     else:
         w = w / mean_w
-    return WeightVector(w=w + eps)
+    return w + eps

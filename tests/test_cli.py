@@ -21,7 +21,8 @@ from ridkit.fileio import (
     sha256_of,
     write_dataset,
 )
-from ridkit.flow import flow_sample
+from ridkit.flow import build_flow, flow_sample, flow_to_jsonable
+from ridkit.neural import MlpSpec, init_mlp, mlp_to_jsonable
 from ridkit.tasks import Dataset, NoiseSpec, generate_dataset, make_task
 
 
@@ -425,6 +426,17 @@ def _model_mlp_version_one(tmp_path, model_file, data, out):
     return ("sample", "--model", bad, "--targets", data, "--out", out)
 
 
+def _model_narrow_subnet(tmp_path, model_file, data, out):
+    # block 0's subnets give one value for its two active coordinates, which
+    # would broadcast into both
+    doc = flow_to_jsonable(build_flow(4, 1, n_blocks=2, hidden=(8,), seed=0))
+    narrow = mlp_to_jsonable(init_mlp(MlpSpec(3, 1, (8,)), np.random.default_rng(0)))
+    doc["subnets"][0] = {"s": narrow, "t": narrow}
+    bad = tmp_path / "narrow_subnet.json"
+    bad.write_text(json.dumps(doc))
+    return ("sample", "--model", bad, "--targets", data, "--out", out)
+
+
 def _weights_version_two(tmp_path, model_file, data, out):
     # weights format 2 carried the surrogate shape in its config; version 3 has none
     weights = tmp_path / "weights_v2.json"
@@ -453,10 +465,12 @@ def _model_extra_layer(tmp_path, model_file, data, out):
     _non_finite_target, _meta_without_task, _sample_with_non_model, _eval_with_non_model,
     _model_missing_field, _model_without_blocks, _model_nan_weight, _model_zero_scale,
     _model_extra_subnet, _model_extra_layer, _model_mlp_version_one, _weights_version_two,
+    _model_narrow_subnet,
 ], ids=["sample-nan-target", "train-meta-without-task", "sample-non-model",
         "eval-non-model", "eval-baseline-missing-field", "sample-model-without-blocks",
         "sample-model-nan-weight", "eval-model-zero-scale", "sample-model-extra-subnet",
-        "sample-model-extra-layer", "sample-model-mlp-version-one", "train-weights-version-two"])
+        "sample-model-extra-layer", "sample-model-mlp-version-one", "train-weights-version-two",
+        "sample-model-narrow-subnet"])
 def test_malformed_input_is_data_error(model_file, dataset_dir, tmp_path, capsys, make_argv):
     out = tmp_path / "o"
     assert run(*make_argv(tmp_path, model_file, dataset_dir, out)) == 3

@@ -20,7 +20,7 @@ from ridkit.flow import (
     train_flow_wnll,
     value_and_gradients,
 )
-from ridkit.neural import TrainingError, init_mlp, mlp_forward, with_bias_column
+from ridkit.neural import MlpSpec, TrainingError, init_mlp, mlp_forward, with_bias_column
 
 
 def _randomized(model, seed):
@@ -451,3 +451,23 @@ def test_flow_from_jsonable_rejects_invalid_numbers_and_masks(key, value, match)
     doc[key] = value
     with pytest.raises(ValueError, match=match):
         flow_from_jsonable(doc)
+
+
+def _narrow_subnets(blk):
+    # one output for the block's two active coordinates
+    narrow = init_mlp(MlpSpec(len(blk.passive) + 1, 1, (4,)), np.random.default_rng(0))
+    return replace(blk, s_params=narrow, t_params=narrow)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_narrow_subnets, "block 0: s subnet maps 3 -> 1 values, not 3 -> 2"),
+    (lambda blk: replace(blk, t_params=init_mlp(MlpSpec(2, 2, (4,)), np.random.default_rng(0))),
+     "block 0: t subnet maps 2 -> 2 values, not 3 -> 2"),
+    (lambda blk: replace(blk, passive=(1,)), "not a set of coordinates with passive"),
+    (lambda blk: replace(blk, clamp=3.0), "block 1: clamp 2.0 differs from block 0's 3.0"),
+], ids=["narrow-subnets", "t-input-too-narrow", "passive-misses-a-coordinate", "clamp-differs"])
+def test_flow_model_rejects_a_layout_its_passes_cannot_run(edit, match):
+    model = build_flow(4, 1, n_blocks=2, hidden=(4,), seed=0)
+    blocks = (edit(model.blocks[0]), *model.blocks[1:])
+    with pytest.raises(ValueError, match=match):
+        replace(model, blocks=blocks)

@@ -100,10 +100,10 @@ def test_float32_pass_matches_float64_within_rounding(kind, seed):
         assert np.abs(g32 - g64).max() <= 256 * EPS32 * np.abs(g64).max()
 
 
-def _float64_fit(vg, model, batch, n, epochs, batch_size, rng, learning_rate, weight_decay):
+def _float64_fit(vg, model, batch, n, epochs, batch_size, rng, learning_rate):
     """fit_minibatch's loop with every pass in float64: FlatAdam and the
     float64 value_and_gradients over views of its float64 buffers."""
-    opt = FlatAdam(model.arrays(), learning_rate, weight_decay)
+    opt = FlatAdam(model.arrays(), learning_rate)
     trained = model.with_arrays(opt.views(opt.params))
     grads = model.with_arrays(opt.views(opt.grads))
     trace = []
@@ -155,10 +155,8 @@ def test_fit_minibatch_follows_a_float64_reference_loop(kind):
     vg, model, batch = _fit_case(kind)
     args = (200, 8, 50)
     rng64, rng32 = np.random.default_rng(7), np.random.default_rng(7)
-    ref, ref_trace = _float64_fit(vg, model, lambda idx: batch(idx, rng64), *args, rng64,
-                                  3e-3, 1e-5)
-    got, trace = fit_minibatch(vg, model, lambda idx: batch(idx, rng32), *args, rng32,
-                               3e-3, 1e-5)
+    ref, ref_trace = _float64_fit(vg, model, lambda idx: batch(idx, rng64), *args, rng64, 3e-3)
+    got, trace = fit_minibatch(vg, model, lambda idx: batch(idx, rng32), *args, rng32, 3e-3)
     assert trace != ref_trace  # the fit did run in float32
     np.testing.assert_allclose(trace, ref_trace, rtol=64 * EPS32)
     assert ref_trace[-1] < ref_trace[0]

@@ -3,6 +3,8 @@ import pytest
 
 from ridkit.backend import row_sumsq_diff
 from ridkit.neural import (
+    _WEIGHT_DECAY,
+    _adam_update,
     FlatAdam,
     MlpParams,
     MlpSpec,
@@ -93,16 +95,16 @@ def _adam_once(params, grads, **kwargs):
 
 def test_adam_first_step_hand_value():
     # t=1 bias correction makes m_hat = v_hat = 1, so delta = lr / (1 + eps)
-    new_p = _adam_once([np.zeros((2, 2))], [np.ones((2, 2))], learning_rate=1e-3,
-                       weight_decay=0.0)
+    new_p = _adam_once([np.zeros((2, 2))], [np.ones((2, 2))], learning_rate=1e-3)
     expected = -1e-3 * (1.0 / (1.0 + 1e-8))
     np.testing.assert_allclose(new_p[0], np.full((2, 2), expected), rtol=1e-12)
 
 
 def test_adam_zero_grad_keeps_params():
-    p = [np.full((2, 2), 0.7)]
-    new_p = _adam_once(p, [np.zeros((2, 2))], weight_decay=0.0)
-    np.testing.assert_array_equal(new_p[0], p[0])
+    p = np.full((2, 2), 0.7)
+    m, v, tmp, tmp2 = (np.zeros((2, 2)) for _ in range(4))
+    _adam_update(p, np.zeros((2, 2)), m, v, 1, 1e-3, 0.0, tmp, tmp2)
+    np.testing.assert_array_equal(p, np.full((2, 2), 0.7))
 
 
 def test_adam_identical_params_get_identical_updates():
@@ -116,7 +118,7 @@ def test_adam_zero_lr_keeps_params():
     rng = np.random.default_rng(2)
     p = [rng.standard_normal((3, 3))]
     g = [rng.standard_normal((3, 3))]
-    new_p = _adam_once(p, g, learning_rate=0.0, weight_decay=0.1)
+    new_p = _adam_once(p, g, learning_rate=0.0)
     np.testing.assert_array_equal(new_p[0], p[0])
 
 
@@ -138,7 +140,7 @@ def test_train_regressor_fits_noiseless_linear_rule():
     x = rng.uniform(-1, 1, size=(400, 1))
     y = 2.0 * x
     params, trace = train_regressor(
-        MlpSpec(1, 1, (16,)), (x, y), epochs=400, batch_size=64, seed=0, weight_decay=0.0,
+        MlpSpec(1, 1, (16,)), (x, y), epochs=400, batch_size=64, seed=0,
     )
     assert _mse(mlp_forward(params, with_bias_column(x)), y) < 1e-3
     assert len(trace) == 400
@@ -284,9 +286,9 @@ def test_flat_and_per_array_adam_bitwise_equal_reference():
     rng = np.random.default_rng(21)
     shapes = [(3, 5), (1, 5), (5, 2), (1, 2)]
     params = [rng.standard_normal(s) for s in shapes]
-    lr, wd = 3e-3, 1e-2
+    lr, wd = 3e-3, _WEIGHT_DECAY
     ref = [(p.copy(), np.zeros_like(p), np.zeros_like(p)) for p in params]
-    flat = FlatAdam(params, learning_rate=lr, weight_decay=wd)
+    flat = FlatAdam(params, learning_rate=lr)
     views = flat.views(flat.params)
     m_views, v_views = flat.views(flat._m), flat.views(flat._v)
     for t in range(1, 5):
@@ -301,6 +303,20 @@ def test_flat_and_per_array_adam_bitwise_equal_reference():
     assert flat.step_count == 4
 
 
+def test_adam_update_decays_at_any_rate_bitwise_equal_reference():
+    rng = np.random.default_rng(22)
+    p, m, v, tmp, tmp2 = rng.standard_normal((3, 4)), *(np.zeros((3, 4)) for _ in range(4))
+    p_ref, m_ref, v_ref = p.copy(), m.copy(), v.copy()
+    for t in range(1, 4):
+        g = rng.standard_normal((3, 4))
+        p_ref, m_ref, v_ref = _reference_adam(p_ref, g, m_ref, v_ref, t, 3e-3, 0.9, 0.999, 1e-8,
+                                              1e-2)
+        _adam_update(p, g, m, v, t, 3e-3, 1e-2, tmp, tmp2)
+        np.testing.assert_array_equal(p, p_ref)
+        np.testing.assert_array_equal(m, m_ref)
+        np.testing.assert_array_equal(v, v_ref)
+
+
 def test_flat_adam_rejects_non_finite_parameters():
     flat = FlatAdam([np.zeros((2, 2))])
     with pytest.raises(TrainingError, match="non-finite"), np.errstate(invalid="ignore"):
@@ -313,8 +329,9 @@ def test_flat_adam_rejects_parameters_that_overflow_float32():
 
 
 def test_flat_adam_names_the_step_whose_parameters_overflow_float32():
-    # 3.4e38 fits float32; one step of size 1e37 takes it past the maximum
-    flat = FlatAdam([np.full((2, 2), 3.4e38)], learning_rate=1e37, weight_decay=0.0)
+    # 3.4e38 fits float32; one step at learning rate 1e37 takes it past the
+    # float32 range (its weight-decay factor 1 - 1e37 * _WEIGHT_DECAY alone does)
+    flat = FlatAdam([np.full((2, 2), 3.4e38)], learning_rate=1e37)
     with pytest.raises(TrainingError, match="parameters overflow float32 after Adam step 1"):
         _step(flat, [np.full((2, 2), -1.0)])
 

@@ -1,7 +1,10 @@
 """The benchmark harness patches ridkit functions by module and name; a
 rename in ridkit would silently drop a per-layer metric to zero. This
-checks that every point the harness traces still resolves, and that the
-row counts it reads from training-gradient calls still see the batch."""
+checks that every point the harness traces still resolves, that the
+names it reads without a fallback (its pools, its modules and the backend
+name) still exist, since a missing one fails every traced run, and that
+the row counts it reads from training-gradient calls still see the
+batch."""
 
 import importlib
 from pathlib import Path
@@ -31,6 +34,15 @@ def test_every_benchmark_trace_point_resolves(monkeypatch):
         if not hasattr(importlib.import_module(point.owner), point.attr)
     }
     assert unresolved - KNOWN_DEAD == set()
+
+
+def test_every_name_the_harness_reads_without_a_fallback_exists(monkeypatch):
+    harness = _import_perfbench(monkeypatch, "harness")
+    for owner, attr in harness.POOLS:
+        assert hasattr(importlib.import_module(owner), attr), f"{owner}.{attr}"
+    for name in harness.MODULES:
+        importlib.import_module(name)
+    assert isinstance(importlib.import_module("ridkit.backend").BACKEND_NAME, str)
 
 
 def test_value_and_gradients_rows_are_the_batch_sizes(monkeypatch):
