@@ -9,7 +9,6 @@ stochastic benchmark tasks.
 from . import backend
 from .evaluation import (
     EvalConfig,
-    EvalReport,
     resimulation_error,
     welch_t_test,
 )

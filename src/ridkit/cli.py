@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+import time
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from .evaluation import EvalConfig, resimulation_error, welch_t_test
 from .fileio import (
     MODEL_FILE,
     REPORT_FILE,
+    REPORT_FORMAT_VERSION,
     SAMPLES_FILE,
     SAMPLES_FORMAT_VERSION,
     SAMPLES_META_FILE,
@@ -131,6 +134,8 @@ class RunConfig:
         for name in ("n", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.task is not None:
             make_task(self.task)
         build_flow(1, 1, self.blocks, self.hidden, clamp=self.clamp)
@@ -192,24 +197,27 @@ def _out_dir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
+    out = _out_dir(args)
     dataset = generate_dataset(make_task(args.task), _noise_spec(args, args.seed), args.n,
                                args.seed)
-    data_path = write_dataset(_out_dir(args), dataset)
+    data_path = write_dataset(out, dataset)
     print(f"rows={dataset.n} sha256={sha256_of(data_path)}")
     return EXIT_OK
 
 
 def cmd_weights(args) -> int:
+    out = _out_dir(args)
     cfg = _weight_config(args, args.seed)
     dataset = read_dataset(Path(args.dataset))
     r = estimate_sample_robustness(dataset, cfg, threads=args.threads)
     w = robustness_to_weights(r, cfg.tau, cfg.eps)
-    write_weights(_out_dir(args) / WEIGHTS_FILE, w, cfg, sha256_of(dataset_path(args.dataset)))
+    write_weights(out / WEIGHTS_FILE, w, cfg, sha256_of(dataset_path(args.dataset)))
     print(f"min={w.min():.6f} mean={w.mean():.6f} max={w.max():.6f}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
+    out = _out_dir(args)
     cfg = _wnll_config(args, derive_seed(args.seed, "flow-train"))
     dataset = read_dataset(Path(args.dataset))
     weights = None
@@ -232,7 +240,6 @@ def cmd_train(args) -> int:
         seed=derive_seed(args.seed, "flow-init"),
     )
     trained, trace = train_flow_wnll(model, dataset.x, dataset.y, weights, cfg)
-    out = _out_dir(args)
     write_json(out / MODEL_FILE, flow_to_jsonable(trained))
     write_json(
         out / TRACE_FILE,
@@ -258,12 +265,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    out = _out_dir(args)
     model = flow_from_jsonable(read_json(Path(args.model)))
     targets = read_targets(Path(args.targets), model.d_y)
     k = args.samples_per_target
     samples = flow_sample(model, targets, k, derive_seed(args.seed, "sample"))
     _check_finite(samples.reshape(targets.shape[0], -1), "design")
-    out = _out_dir(args)
     write_samples(out / SAMPLES_FILE, targets, samples)
     write_json(
         out / SAMPLES_META_FILE,
@@ -281,24 +288,42 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.baseline is not None and args.n_targets < 2:
+        raise UsageError("--baseline needs --n-targets >= 2: Welch's t-test compares "
+                         "two samples of at least two losses")
+    out = _out_dir(args)
     task = make_task(args.task)
     noise = _noise_spec(args)
     cfg = _eval_config(args, derive_seed(args.seed, "eval"))
     model = flow_from_jsonable(read_json(Path(args.model)))
     targets = generate_dataset(task, noise, cfg.n_targets, derive_seed(args.seed, "targets")).y
-    report = resimulation_error(model, task, noise, targets, cfg)
-    _check_finite(report.per_target_losses, "re-simulation loss")
+    t0 = time.perf_counter()
+    losses = resimulation_error(model, task, noise, targets, cfg)
+    wall_clock = time.perf_counter() - t0
+    _check_finite(losses, "re-simulation loss")
+    mse = float(losses.mean())
+    std_error = float(losses.std(ddof=1) / math.sqrt(losses.size)) if losses.size > 1 else 0.0
+    # wall-clock time stays out of the report so identical reruns stay byte-identical
+    report = {
+        "format_version": REPORT_FORMAT_VERSION,
+        "kind": "eval-report",
+        "task": task.name,
+        "noise_mode": noise.mode,
+        "config": asdict(cfg),
+        "mse": mse,
+        "std_error": std_error,
+        "per_target_losses": losses.tolist(),
+    }
     inputs = {"model_sha256": sha256_of(Path(args.model))}
     if args.baseline is not None:
         base_model = flow_from_jsonable(read_json(Path(args.baseline)))
         base = resimulation_error(base_model, task, noise, targets, cfg)
-        _check_finite(base.per_target_losses, "baseline re-simulation loss")
-        t, p = welch_t_test(report.per_target_losses, base.per_target_losses)
-        report = replace(report, comparison={"baseline_mse": base.mse, "t": t, "p": p})
+        _check_finite(base, "baseline re-simulation loss")
+        t, p = welch_t_test(losses, base)
+        report["comparison"] = {"baseline_mse": float(base.mean()), "t": t, "p": p}
         inputs["baseline_sha256"] = sha256_of(Path(args.baseline))
-    write_json(_out_dir(args) / REPORT_FILE, {**report.to_jsonable(), **inputs})
-    print(f"mse={report.mse:.6f} std_error={report.std_error:.6f} "
-          f"wall_clock={report.wall_clock_seconds:.2f}s")
+    write_json(out / REPORT_FILE, {**report, **inputs})
+    print(f"mse={mse:.6f} std_error={std_error:.6f} wall_clock={wall_clock:.2f}s")
     return EXIT_OK
 
 
@@ -438,7 +463,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValueError) as exc:
+    except (DataError, ValueError, OSError) as exc:
+        # OSError: a path the user gave cannot be read or written, such as a
+        # file given as --out or a directory given as --model
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingError, NumericalError) as exc:

@@ -10,8 +10,7 @@ through one noisy forward draw, and average the squared errors.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .tasks import NoiseSpec, TaskSpec, apply_noise_batch
 
 __all__ = [
     "EvalConfig",
-    "EvalReport",
     "resimulation_error",
     "welch_t_test",
     "regularized_incomplete_beta",
@@ -41,34 +39,6 @@ class EvalConfig:
             raise ValueError("all evaluation counts must be >= 1")
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    task: str
-    noise_mode: str
-    mse: float
-    std_error: float
-    per_target_losses: np.ndarray
-    config: EvalConfig
-    wall_clock_seconds: float = 0.0
-    comparison: dict | None = None
-
-    def to_jsonable(self) -> dict:
-        # wall_clock_seconds stays out so identical reruns stay byte-identical
-        doc = {
-            "format_version": 2,
-            "kind": "eval-report",
-            "task": self.task,
-            "noise_mode": self.noise_mode,
-            "config": asdict(self.config),
-            "mse": self.mse,
-            "std_error": self.std_error,
-            "per_target_losses": self.per_target_losses.tolist(),
-        }
-        if self.comparison is not None:
-            doc["comparison"] = self.comparison
-        return doc
-
-
 # re-simulation scoring ---------------------------------------------------------------
 
 
@@ -78,14 +48,14 @@ def resimulation_error(
     noise: NoiseSpec,
     test_targets: np.ndarray,
     cfg: EvalConfig,
-) -> EvalReport:
-    """Scores an inverse model on held-out targets.
+) -> np.ndarray:
+    """Scores an inverse model on held-out targets: the float64 array of
+    per-target losses, one per row of `test_targets`.
 
     For each target, samples_per_target designs are drawn from the model
     and each gets one noisy forward draw; the per-target loss is the mean
     squared error of those draws against the target.
     """
-    t0 = time.perf_counter()
     targets = np.asarray(test_targets, dtype=np.float64)
     if targets.ndim != 2 or targets.shape[1] != task.d_y:
         raise ValueError(f"targets shape {targets.shape} does not match d_y={task.d_y}")
@@ -97,18 +67,7 @@ def resimulation_error(
     rng = np.random.default_rng(derive_seed(cfg.seed, "resim"))
     y_sim = apply_noise_batch(task, noise, designs, rng)
     y_rep = np.repeat(targets, k, axis=0)
-    losses = backend.row_sumsq_diff(y_sim, y_rep).reshape(n_t, k).mean(axis=1)
-    mse = float(losses.mean())
-    std_error = float(losses.std(ddof=1) / math.sqrt(n_t)) if n_t > 1 else 0.0
-    return EvalReport(
-        task=task.name,
-        noise_mode=noise.mode,
-        mse=mse,
-        std_error=std_error,
-        per_target_losses=losses,
-        config=cfg,
-        wall_clock_seconds=time.perf_counter() - t0,
-    )
+    return backend.row_sumsq_diff(y_sim, y_rep).reshape(n_t, k).mean(axis=1)
 
 
 # Welch's t-test ------------------------------------------------------------------------

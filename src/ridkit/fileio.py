@@ -54,6 +54,7 @@ _WRITE_ROWS = 1024
 DATASET_FORMAT_VERSION = 1
 WEIGHTS_FORMAT_VERSION = 3
 SAMPLES_FORMAT_VERSION = 2
+REPORT_FORMAT_VERSION = 2
 
 
 class DataError(Exception):

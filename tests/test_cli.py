@@ -1,11 +1,13 @@
 import json
-from dataclasses import fields
+import math
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ridkit.cli import RunConfig, build_parser, main
+from ridkit.evaluation import EvalConfig
 from ridkit.fileio import (
     DATASET_FILE,
     DATASET_META_FILE,
@@ -23,6 +25,7 @@ from ridkit.fileio import (
 )
 from ridkit.flow import build_flow, flow_sample, flow_to_jsonable
 from ridkit.neural import MlpSpec, init_mlp, mlp_to_jsonable
+from ridkit.seeding import derive_seed
 from ridkit.tasks import Dataset, NoiseSpec, generate_dataset, make_task
 
 
@@ -112,7 +115,9 @@ def test_train_sample_eval_pipeline(dataset_dir, tmp_path):
     report = read_json(eval_dir / REPORT_FILE)
     assert report["mse"] >= 0.0
     assert len(report["per_target_losses"]) == 16
-    assert "wall_clock_seconds" not in report
+    assert "wall_clock_seconds" not in report  # timing is printed, never written
+    assert report["config"] == asdict(
+        EvalConfig(n_targets=16, samples_per_target=4, seed=derive_seed(6, "eval")))
     # the model is unweighted: the report names it by model_sha256 and
     # claims no method
     assert "method" not in report
@@ -131,10 +136,23 @@ def test_eval_with_baseline_adds_comparison(dataset_dir, tmp_path):
                "--task", "radian", "--noise", "n_x", "--n-targets", "8",
                "--samples-per-target", "4", "--seed", "9", "--out", eval_dir) == 0
     rep = read_json(eval_dir / REPORT_FILE)
-    assert set(rep["comparison"]) == {"baseline_mse", "t", "p"}
+    assert list(rep) == ["format_version", "kind", "task", "noise_mode", "config", "mse",
+                         "std_error", "per_target_losses", "comparison", "model_sha256",
+                         "baseline_sha256"]
+    assert list(rep["comparison"]) == ["baseline_mse", "t", "p"]
     assert 0.0 <= rep["comparison"]["p"] <= 1.0
     assert rep["model_sha256"] == sha256_of(m1 / MODEL_FILE)
     assert rep["baseline_sha256"] == sha256_of(m2 / MODEL_FILE)
+    # the statistics are those of the written losses, exactly; the baseline
+    # scored alone at the same seed gives the baseline's losses
+    losses = np.asarray(rep["per_target_losses"])
+    assert rep["mse"] == float(losses.mean())
+    assert rep["std_error"] == float(losses.std(ddof=1) / math.sqrt(losses.size))
+    assert run("eval", "--model", m2 / MODEL_FILE, "--task", "radian", "--noise", "n_x",
+               "--n-targets", "8", "--samples-per-target", "4", "--seed", "9",
+               "--out", tmp_path / "base") == 0
+    base_losses = np.asarray(read_json(tmp_path / "base" / REPORT_FILE)["per_target_losses"])
+    assert rep["comparison"]["baseline_mse"] == float(base_losses.mean())
 
 
 def test_model_vs_itself_gives_p_one(dataset_dir, tmp_path):
@@ -478,6 +496,28 @@ def test_malformed_input_is_data_error(model_file, dataset_dir, tmp_path, capsys
     assert not (out / SAMPLES_FILE).exists()
 
 
+@pytest.mark.parametrize("argv, path", [
+    (("generate", "--task", "radian", "--n", "5", "--out", "{data}/dataset.jsonl"),
+     "{data}/dataset.jsonl"),
+    (("train", "--dataset", "{data}", "--blocks", "2", "--hidden", "8", "--epochs", "1",
+      "--out", "{data}/dataset.jsonl"), "{data}/dataset.jsonl"),
+    (("sample", "--model", "{data}", "--targets", "{data}", "--out", "{tmp}/o"), "{data}"),
+], ids=["generate-out-is-a-file", "train-out-is-a-file", "sample-model-is-a-directory"])
+def test_unusable_path_is_data_error_naming_it(dataset_dir, tmp_path, capsys, monkeypatch,
+                                               argv, path):
+    def fit(*args, **kwargs):
+        raise AssertionError("training started before --out was checked")
+
+    monkeypatch.setattr("ridkit.cli.train_flow_wnll", fit)
+    dataset = (dataset_dir / DATASET_FILE).read_bytes()
+    argv = [a.format(data=dataset_dir, tmp=tmp_path) for a in argv]
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert repr(path.format(data=dataset_dir)) in err
+    assert (dataset_dir / DATASET_FILE).read_bytes() == dataset
+
+
 def test_dataset_row_that_is_not_an_object_is_data_error(dataset_dir, tmp_path, capsys):
     data = dataset_dir / DATASET_FILE
     lines = data.read_text().splitlines()
@@ -567,22 +607,29 @@ def test_non_finite_design_exits_numeric_naming_the_row(model_file, dataset_dir,
     ("weights", "--dataset", "{data}", "--threads", "0"),
     ("eval", "--model", "{model}", "--task", "radian", "--n-targets", "0"),
     ("sample", "--model", "{model}", "--targets", "{data}", "--n-per-target", "0"),
+    ("generate", "--task", "radian", "--n", "5", "--seed", "-1"),
+    ("weights", "--dataset", "{data}", "--seed", "-5"),
+    # Welch's t-test needs two losses per model, so this fails before either model is read
+    ("eval", "--model", "{data}", "--baseline", "{data}", "--task", "radian",
+     "--n-targets", "1"),
 ], ids=["generate-x-sigma", "train-epochs", "train-blocks", "train-lr", "train-clamp",
         "weights-k", "weights-epochs", "weights-batch-size", "weights-threads", "eval-n-targets",
-        "sample-n-per-target"])
+        "sample-n-per-target", "generate-seed", "weights-seed", "eval-baseline-one-target"])
 def test_out_of_range_flag_is_usage_error(dataset_dir, model_file, tmp_path, capsys, argv):
     argv = [a.format(data=dataset_dir, model=model_file) for a in argv]
-    assert run(*argv, "--out", tmp_path / "o") == 2
+    out = tmp_path / "o"
+    assert run(*argv, "--out", out) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", [
     {"n": "abc"}, {"hidden": 8}, {"task": "nope"}, {"bogus": 1}, {"flow_epochs": 0},
     {"blocks": 0}, {"hidden": [0]}, {"n_targets": 0}, {"threads": -2}, {"clamp": 0},
-    {"n": 5, "k_folds": 5},
+    {"n": 5, "k_folds": 5}, {"seed": -1},
 ], ids=["n-not-int", "hidden-not-list", "unknown-task", "unknown-field", "flow-epochs-zero",
         "blocks-zero", "hidden-zero", "n-targets-zero", "threads-negative", "clamp-zero",
-        "too-few-rows-for-folds"])
+        "too-few-rows-for-folds", "seed-negative"])
 def test_pipeline_bad_runconfig_field_is_usage_error(tmp_path, capsys, field):
     out = tmp_path / "p"
     cfg = tmp_path / "cfg.json"
