@@ -17,8 +17,6 @@ from .flow import (
     FlowModel,
     WnllConfig,
     build_flow,
-    coupling_forward,
-    coupling_inverse,
     flow_forward,
     flow_log_prob,
     flow_sample,

@@ -93,8 +93,8 @@ class RunConfig:
     dests of the subcommand flags, which take their defaults from here.
     Settings a library class owns take that class's default. Construction
     checks every field from any source before a stage runs: types as JSON
-    gives them, without conversion from strings, and ranges by building the
-    library objects the stages feed.
+    gives them, without conversion from strings, finiteness of every float,
+    and ranges by building the library objects the stages feed.
     """
 
     task: str | None = None
@@ -131,6 +131,8 @@ class RunConfig:
                 raise TypeError(f"{f.name} must be {f.type}, not {value!r}")
             if kind in _WIDEN:
                 object.__setattr__(self, f.name, _WIDEN[kind](value))
+            if kind == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
         for name in ("n", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -288,9 +290,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.baseline is not None and args.n_targets < 2:
-        raise UsageError("--baseline needs --n-targets >= 2: Welch's t-test compares "
-                         "two samples of at least two losses")
     out = _out_dir(args)
     task = make_task(args.task)
     noise = _noise_spec(args)
@@ -302,7 +301,7 @@ def cmd_eval(args) -> int:
     wall_clock = time.perf_counter() - t0
     _check_finite(losses, "re-simulation loss")
     mse = float(losses.mean())
-    std_error = float(losses.std(ddof=1) / math.sqrt(losses.size)) if losses.size > 1 else 0.0
+    std_error = float(losses.std(ddof=1) / math.sqrt(losses.size))
     # wall-clock time stays out of the report so identical reruns stay byte-identical
     report = {
         "format_version": REPORT_FORMAT_VERSION,

@@ -35,8 +35,11 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_targets, self.samples_per_target) < 1:
-            raise ValueError("all evaluation counts must be >= 1")
+        if self.n_targets < 2:
+            raise ValueError("n_targets must be >= 2: a standard error (and Welch's t-test) "
+                             "needs at least two losses")
+        if self.samples_per_target < 1:
+            raise ValueError("samples_per_target must be >= 1")
 
 
 # re-simulation scoring ---------------------------------------------------------------

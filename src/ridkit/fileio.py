@@ -267,7 +267,8 @@ def write_weights(path: Path, weights: np.ndarray, cfg: WeightConfig,
 
 
 def read_weights(path: Path) -> tuple[np.ndarray, str]:
-    """The weights and the sha256 of the dataset they score."""
+    """The weights, a flat list of finite numbers, and the sha256 of the
+    dataset they score."""
     doc = read_json(Path(path))
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != WEIGHTS_FORMAT_VERSION:
@@ -277,6 +278,8 @@ def read_weights(path: Path) -> tuple[np.ndarray, str]:
         dataset_sha256 = doc["dataset_sha256"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed weights file {path}: {exc}") from exc
+    if w.ndim != 1:
+        raise DataError(f"malformed weights file {path}: 'weights' is not a flat list of numbers")
     if not np.isfinite(w).all():
         raise DataError(f"weights file {path} has non-finite weights")
     return w, dataset_sha256

@@ -35,8 +35,6 @@ __all__ = [
     "FlowModel",
     "WnllConfig",
     "build_flow",
-    "coupling_forward",
-    "coupling_inverse",
     "flow_forward",
     "flow_log_prob",
     "flow_sample",
@@ -58,35 +56,27 @@ class CouplingBlock:
 
     `passive` coordinates pass through unchanged and, together with the
     condition, drive the scale/shift subnets applied to the `active`
-    coordinates. The raw scale is saturated to clamp*(2/pi)*atan(raw), so
-    every effective log-scale stays strictly inside (-clamp, clamp).
+    coordinates.
     """
 
     active: tuple[int, ...]
     passive: tuple[int, ...]
-    clamp: float
     s_params: MlpParams
     t_params: MlpParams
-
-    def __post_init__(self):
-        if not 0 < self.clamp < math.inf:
-            raise ValueError("clamp must be finite and positive")
-        if not self.active:
-            raise ValueError("a coupling block must transform at least one coordinate")
-        overlap = set(self.active) & set(self.passive)
-        if overlap:
-            raise ValueError(f"active/passive overlap: {sorted(overlap)}")
 
 
 @dataclass(frozen=True)
 class FlowModel:
     """Coupling blocks over d_x coordinates conditioned on d_y. Each block
-    splits 0..d_x-1 into active and passive coordinates, its subnets map
-    [passive, y] to one value per active coordinate, and all blocks share
-    one clamp; construction checks all three."""
+    splits 0..d_x-1 into a non-empty active set and its passive complement,
+    and its subnets map [passive, y] to one value per active coordinate;
+    construction checks both. Every block saturates its raw scale to
+    clamp*(2/pi)*atan(raw), so each effective log-scale stays strictly
+    inside (-clamp, clamp)."""
 
     d_x: int
     d_y: int
+    clamp: float
     blocks: tuple[CouplingBlock, ...]
     perms: tuple[tuple[int, ...], ...]  # applied to the latent before each block
     x_shift: np.ndarray  # (1, d_x) standardization, identity until trained
@@ -95,6 +85,8 @@ class FlowModel:
     y_scale: np.ndarray
 
     def __post_init__(self):
+        if not 0 < self.clamp < math.inf:
+            raise ValueError("clamp must be finite and positive")
         if not self.blocks:
             raise ValueError("a flow needs at least one coupling block")
         if len(self.perms) != len(self.blocks):
@@ -103,6 +95,8 @@ class FlowModel:
             if sorted(p) != list(range(self.d_x)):
                 raise ValueError(f"{p} is not a permutation of 0..{self.d_x - 1}")
         for li, blk in enumerate(self.blocks):
+            if not blk.active:
+                raise ValueError("a coupling block must transform at least one coordinate")
             if sorted(blk.active + blk.passive) != list(range(self.d_x)):
                 raise ValueError(f"coupling-flow mask {list(blk.active)} is not a set of "
                                  f"coordinates with passive {list(blk.passive)} as its "
@@ -113,9 +107,6 @@ class FlowModel:
                 if got != want:
                     raise ValueError(f"block {li}: {name} subnet maps {got[0]} -> {got[1]} "
                                      f"values, not {want[0]} -> {want[1]}")
-            if blk.clamp != self.blocks[0].clamp:
-                raise ValueError(f"block {li}: clamp {blk.clamp} differs from block 0's "
-                                 f"{self.blocks[0].clamp}")
 
     def arrays(self) -> list[np.ndarray]:
         """The subnet arrays in training order: each block's s arrays, then
@@ -167,7 +158,6 @@ def build_flow(
             CouplingBlock(
                 active=active,
                 passive=passive,
-                clamp=clamp,
                 s_params=init_mlp(sub_spec, rng, zero_final=True),
                 t_params=init_mlp(sub_spec, rng, zero_final=True),
             )
@@ -178,6 +168,7 @@ def build_flow(
     return FlowModel(
         d_x=d_x,
         d_y=d_y,
+        clamp=clamp,
         blocks=tuple(blocks),
         perms=tuple(perms),
         x_shift=np.zeros((1, d_x)),
@@ -187,7 +178,7 @@ def build_flow(
     )
 
 
-# numpy fast paths (sampling / single-block ops) -----------------------------------
+# coupling blocks ------------------------------------------------------------------
 
 
 def _subnet_input(block: CouplingBlock, u: np.ndarray, cond1: np.ndarray) -> np.ndarray:
@@ -197,35 +188,24 @@ def _subnet_input(block: CouplingBlock, u: np.ndarray, cond1: np.ndarray) -> np.
 
 
 def _coupling_forward(
-    block: CouplingBlock, u: np.ndarray, cond1: np.ndarray
+    block: CouplingBlock, clamp: float, u: np.ndarray, cond1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """coupling_forward on rows in the subnet dtype, with cond1 the
-    condition followed by the constant column (see with_bias_column)."""
+    """Applies the block to rows in the subnet dtype, with cond1 the
+    condition followed by the constant column (see with_bias_column);
+    returns (v, per-row log-det column)."""
     h = _subnet_input(block, u, cond1)
     s_raw, t = mlp_forward(block.s_params, h), mlp_forward(block.t_params, h)
-    out, s_eff = backend.coupling_fwd(u[:, list(block.active)], s_raw, t, block.clamp)
+    out, s_eff = backend.coupling_fwd(u[:, list(block.active)], s_raw, t, clamp)
     v = u.copy()
     v[:, list(block.active)] = out
     return v, s_eff.sum(axis=1, keepdims=True)
 
 
-def coupling_forward(
-    block: CouplingBlock, u: np.ndarray, cond: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Applies the block in the dtype of its subnet parameters; returns
-    (v, per-row log-det column)."""
-    dtype = block.s_params.layers[0].dtype
-    u = np.asarray(u, dtype=dtype)
-    cond = np.asarray(cond, dtype=dtype)
-    if u.shape[0] != cond.shape[0]:
-        raise ValueError("u and cond need equal row counts")
-    return _coupling_forward(block, u, with_bias_column(cond, dtype))
-
-
 def _coupling_inverse_step(
-    block: CouplingBlock, v: np.ndarray, cond1: np.ndarray, record: list | None = None
+    block: CouplingBlock, clamp: float, v: np.ndarray, cond1: np.ndarray,
+    record: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of coupling_forward: u = (v - t) * exp(-s) on the active
+    """Inverse of _coupling_forward: u = (v - t) * exp(-s) on the active
     half, with cond1 the condition followed by the constant column. Returns
     (u, per-row log-det column of the forward map).
 
@@ -238,7 +218,7 @@ def _coupling_inverse_step(
         s_tape, t_tape = (record[1], record[2]) if record else ([], [])
     s_raw = mlp_forward(block.s_params, h, s_tape)
     t = mlp_forward(block.t_params, h, t_tape)
-    s_eff = backend.softclamp(s_raw, block.clamp)
+    s_eff = backend.softclamp(s_raw, clamp)
     e = np.exp(-s_eff)
     active = list(block.active)
     diff = v[:, active] - t
@@ -249,8 +229,8 @@ def _coupling_inverse_step(
     return u, s_eff.sum(axis=1, keepdims=True)
 
 
-def _coupling_inverse_backward(block: CouplingBlock, record, g_u: np.ndarray, g_ld: np.ndarray,
-                               grads: CouplingBlock) -> np.ndarray:
+def _coupling_inverse_backward(block: CouplingBlock, clamp: float, record, g_u: np.ndarray,
+                               g_ld: np.ndarray, grads: CouplingBlock) -> np.ndarray:
     """Reverse pass of one _coupling_inverse_step for the adjoints of u and of
     the log-det column; writes the subnet gradients into the s_params and
     t_params arrays of `grads` and returns the adjoint of v."""
@@ -260,22 +240,13 @@ def _coupling_inverse_backward(block: CouplingBlock, record, g_u: np.ndarray, g_
     g_diff = g_ua * e
     # exp(-s_eff) feeds back its own value; the log-det sums s_eff per row
     g_s_eff = g_ld + (g_ua * diff * e) * -1.0
-    g_s_raw = g_s_eff * (block.clamp * (2.0 / math.pi)) / (1.0 + s_raw * s_raw)
+    g_s_raw = g_s_eff * (clamp * (2.0 / math.pi)) / (1.0 + s_raw * s_raw)
     g_h = _mlp_backward(block.t_params, h, t_tape, g_diff * -1.0, grads.t_params)
     g_h = g_h + _mlp_backward(block.s_params, h, s_tape, g_s_raw, grads.s_params)
     g_v = np.empty_like(g_u)
     g_v[:, active] = g_diff
     g_v[:, passive] = g_u[:, passive] + g_h[:, :len(passive)]
     return g_v
-
-
-def coupling_inverse(block: CouplingBlock, v: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    """Exact inverse of coupling_forward."""
-    v = np.asarray(v, dtype=np.float64)
-    cond = np.asarray(cond, dtype=np.float64)
-    if v.shape[0] != cond.shape[0]:
-        raise ValueError("v and cond need equal row counts")
-    return _coupling_inverse_step(block, v, with_bias_column(cond))[0]
 
 
 def flow_forward(
@@ -303,7 +274,7 @@ def flow_forward(
         u, ld = z[rows].astype(dtype, copy=False), 0.0
         for blk, perm in zip(model.blocks, model.perms):
             u = u[:, list(perm)]
-            u, blk_ld = _coupling_forward(blk, u, cond1)
+            u, blk_ld = _coupling_forward(blk, model.clamp, u, cond1)
             ld = ld + blk_ld
         x[rows] = u * model.x_scale + model.x_shift
         logdet[rows] = ld
@@ -359,7 +330,7 @@ def _to_latent(model: FlowModel, x: np.ndarray, y: np.ndarray,
         if tape is not None and k == len(tape):
             tape.append([])
         record = None if tape is None else tape[k]
-        u, ld = _coupling_inverse_step(model.blocks[li], cur, ys1, record)
+        u, ld = _coupling_inverse_step(model.blocks[li], model.clamp, cur, ys1, record)
         cur = u[:, np.argsort(model.perms[li])]
         log_det = ld if log_det is None else log_det + ld
     return cur, log_det
@@ -410,7 +381,8 @@ def value_and_gradients(model: FlowModel, batch: Mapping[str, np.ndarray],
     g_cur = g + g
     for li, record in enumerate(reversed(tape)):
         g_u = g_cur[:, list(model.perms[li])]
-        g_cur = _coupling_inverse_backward(model.blocks[li], record, g_u, g_ld, grads.blocks[li])
+        g_cur = _coupling_inverse_backward(model.blocks[li], model.clamp, record, g_u, g_ld,
+                                           grads.blocks[li])
     return loss
 
 
@@ -503,7 +475,7 @@ def flow_to_jsonable(model: FlowModel) -> dict:
         "kind": "coupling-flow",
         "d_x": model.d_x,
         "d_y": model.d_y,
-        "clamp": model.blocks[0].clamp,
+        "clamp": model.clamp,
         "masks": [list(blk.active) for blk in model.blocks],
         "permutations": [list(p) for p in model.perms],
         "x_shift": model.x_shift.ravel().tolist(),
@@ -517,31 +489,37 @@ def flow_to_jsonable(model: FlowModel) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    """value, which must be a JSON integer (a bool is not one)."""
+    if type(value) is not int:
+        raise ValueError(f"coupling-flow {what} {value!r} is not an integer")
+    return value
+
+
 def flow_from_jsonable(doc: dict) -> FlowModel:
     """Inverse of flow_to_jsonable. Raises ValueError for a document that is
     not a coupling-flow model, misses or mistypes one of its fields, holds
-    a non-finite number or a non-positive scale or clamp, gives masks,
-    subnets, permutations or subnet layers in counts that do not match, or
-    lays them out in a way FlowModel rejects."""
+    a dimension or index that is not a JSON integer, a non-finite number or
+    a non-positive scale or clamp, gives masks, subnets, permutations or
+    subnet layers in counts that do not match, or lays them out in a way
+    FlowModel rejects."""
     if not isinstance(doc, dict) or doc.get("kind") != "coupling-flow":
         raise ValueError("not a coupling-flow model document")
     if doc.get("format_version") != FLOW_FORMAT_VERSION:
         raise ValueError(f"unsupported flow format_version {doc.get('format_version')}")
     try:
-        d_x, d_y = int(doc["d_x"]), int(doc["d_y"])
-        clamp = float(doc["clamp"])
+        d_x, d_y = _integer(doc["d_x"], "d_x"), _integer(doc["d_y"], "d_y")
         if len(doc["masks"]) != len(doc["subnets"]):
             raise ValueError(f"coupling-flow has {len(doc['masks'])} masks for "
                              f"{len(doc['subnets'])} subnets")
         blocks = []
         for mask, nets in zip(doc["masks"], doc["subnets"]):
-            active = tuple(int(i) for i in mask)
+            active = tuple(_integer(i, "mask entry") for i in mask)
             passive = tuple(i for i in range(d_x) if i not in active)
             blocks.append(
                 CouplingBlock(
                     active=active,
                     passive=passive,
-                    clamp=clamp,
                     s_params=mlp_from_jsonable(nets["s"]),
                     t_params=mlp_from_jsonable(nets["t"]),
                 )
@@ -558,8 +536,10 @@ def flow_from_jsonable(doc: dict) -> FlowModel:
         return FlowModel(
             d_x=d_x,
             d_y=d_y,
+            clamp=float(doc["clamp"]),
             blocks=tuple(blocks),
-            perms=tuple(tuple(int(i) for i in p) for p in doc["permutations"]),
+            perms=tuple(tuple(_integer(i, "permutation entry") for i in p)
+                        for p in doc["permutations"]),
             x_shift=row("x_shift", d_x),
             x_scale=row("x_scale", d_x),
             y_shift=row("y_shift", d_y),

@@ -469,6 +469,20 @@ def _weights_version_two(tmp_path, model_file, data, out):
             "--epochs", "1", "--out", out)
 
 
+def _weights_not_a_list(tmp_path, model_file, data, out):
+    # a number where the list of weights goes, for the dataset it is given
+    weights = tmp_path / "weights_number.json"
+    weights.write_text(json.dumps({
+        "format_version": 3, "kind": "sample-weights",
+        "dataset_sha256": sha256_of(data / DATASET_FILE),
+        "config": {"k_folds": 2, "tau": 1.0, "eps": 1e-3, "epochs": 1, "batch_size": 8,
+                   "seed": 0},
+        "weights": 1.0,
+    }))
+    return ("train", "--dataset", data, "--weights", weights, "--blocks", "2", "--hidden", "8",
+            "--epochs", "1", "--out", out)
+
+
 def _model_extra_layer(tmp_path, model_file, data, out):
     # one more layer than the subnet's spec has: loading must not drop it
     doc = read_json(model_file)
@@ -483,12 +497,12 @@ def _model_extra_layer(tmp_path, model_file, data, out):
     _non_finite_target, _meta_without_task, _sample_with_non_model, _eval_with_non_model,
     _model_missing_field, _model_without_blocks, _model_nan_weight, _model_zero_scale,
     _model_extra_subnet, _model_extra_layer, _model_mlp_version_one, _weights_version_two,
-    _model_narrow_subnet,
+    _model_narrow_subnet, _weights_not_a_list,
 ], ids=["sample-nan-target", "train-meta-without-task", "sample-non-model",
         "eval-non-model", "eval-baseline-missing-field", "sample-model-without-blocks",
         "sample-model-nan-weight", "eval-model-zero-scale", "sample-model-extra-subnet",
         "sample-model-extra-layer", "sample-model-mlp-version-one", "train-weights-version-two",
-        "sample-model-narrow-subnet"])
+        "sample-model-narrow-subnet", "train-weights-not-a-list"])
 def test_malformed_input_is_data_error(model_file, dataset_dir, tmp_path, capsys, make_argv):
     out = tmp_path / "o"
     assert run(*make_argv(tmp_path, model_file, dataset_dir, out)) == 3
@@ -612,9 +626,15 @@ def test_non_finite_design_exits_numeric_naming_the_row(model_file, dataset_dir,
     # Welch's t-test needs two losses per model, so this fails before either model is read
     ("eval", "--model", "{data}", "--baseline", "{data}", "--task", "radian",
      "--n-targets", "1"),
+    # and a standard error needs two losses, so this fails before the model is read too
+    ("eval", "--model", "{data}", "--task", "radian", "--n-targets", "1"),
+    ("weights", "--dataset", "{data}", "--tau", "nan"),
+    ("weights", "--dataset", "{data}", "--eps", "inf"),
+    ("train", "--dataset", "{data}", "--sigma-aug", "nan"),
 ], ids=["generate-x-sigma", "train-epochs", "train-blocks", "train-lr", "train-clamp",
         "weights-k", "weights-epochs", "weights-batch-size", "weights-threads", "eval-n-targets",
-        "sample-n-per-target", "generate-seed", "weights-seed", "eval-baseline-one-target"])
+        "sample-n-per-target", "generate-seed", "weights-seed", "eval-baseline-one-target",
+        "eval-one-target", "weights-tau-nan", "weights-eps-inf", "train-sigma-aug-nan"])
 def test_out_of_range_flag_is_usage_error(dataset_dir, model_file, tmp_path, capsys, argv):
     argv = [a.format(data=dataset_dir, model=model_file) for a in argv]
     out = tmp_path / "o"
@@ -626,10 +646,10 @@ def test_out_of_range_flag_is_usage_error(dataset_dir, model_file, tmp_path, cap
 @pytest.mark.parametrize("field", [
     {"n": "abc"}, {"hidden": 8}, {"task": "nope"}, {"bogus": 1}, {"flow_epochs": 0},
     {"blocks": 0}, {"hidden": [0]}, {"n_targets": 0}, {"threads": -2}, {"clamp": 0},
-    {"n": 5, "k_folds": 5}, {"seed": -1},
+    {"n": 5, "k_folds": 5}, {"seed": -1}, {"tau": float("nan")}, {"n_targets": 1},
 ], ids=["n-not-int", "hidden-not-list", "unknown-task", "unknown-field", "flow-epochs-zero",
         "blocks-zero", "hidden-zero", "n-targets-zero", "threads-negative", "clamp-zero",
-        "too-few-rows-for-folds", "seed-negative"])
+        "too-few-rows-for-folds", "seed-negative", "tau-nan", "n-targets-one"])
 def test_pipeline_bad_runconfig_field_is_usage_error(tmp_path, capsys, field):
     out = tmp_path / "p"
     cfg = tmp_path / "cfg.json"

@@ -7,11 +7,10 @@ import pytest
 
 from ridkit.flow import (
     _TILE_ROWS,
-    CouplingBlock,
     WnllConfig,
+    _coupling_forward,
+    _to_latent,
     build_flow,
-    coupling_forward,
-    coupling_inverse,
     flow_forward,
     flow_from_jsonable,
     flow_log_prob,
@@ -37,14 +36,25 @@ def _randomized(model, seed):
     return replace(model, blocks=blocks)
 
 
+def _one_block(model, blk):
+    """blk alone as a flow, over model's standardization (identity as
+    build_flow leaves it) and the identity permutation, so the flow's
+    passes are the block's."""
+    return replace(model, blocks=(blk,), perms=(tuple(range(model.d_x)),))
+
+
+def _block_inverse(model, blk, v, cond):
+    return _to_latent(_one_block(model, blk), v, cond)[0]
+
+
 def test_identity_init_block_is_identity():
     model = build_flow(2, 1, n_blocks=1, hidden=(8,), seed=0)
     u = np.random.default_rng(0).standard_normal((10, 2))
     cond = np.zeros((10, 1))
-    v, logdet = coupling_forward(model.blocks[0], u, cond)
+    v, logdet = flow_forward(model, u, cond)
     np.testing.assert_array_equal(v, u)
     np.testing.assert_array_equal(logdet, np.zeros((10, 1)))
-    np.testing.assert_array_equal(coupling_inverse(model.blocks[0], u, cond), u)
+    np.testing.assert_array_equal(_block_inverse(model, model.blocks[0], u, cond), u)
 
 
 def _with_final_bias(params, value):
@@ -58,10 +68,10 @@ def test_constant_log2_scale_doubles_active_coordinate():
     # force the scale subnet to emit exactly log 2 through the soft clamp
     model = build_flow(2, 1, n_blocks=1, hidden=(4,), clamp=2.0, seed=0)
     blk = model.blocks[0]
-    raw_bias = math.tan(math.log(2.0) * math.pi / (2.0 * blk.clamp))
+    raw_bias = math.tan(math.log(2.0) * math.pi / (2.0 * model.clamp))
     blk = replace(blk, s_params=_with_final_bias(blk.s_params, raw_bias))
     u = np.array([[3.0, 5.0]])
-    v, logdet = coupling_forward(blk, u, np.zeros((1, 1)))
+    v, logdet = flow_forward(_one_block(model, blk), u, np.zeros((1, 1)))
     active = blk.active[0]
     np.testing.assert_allclose(v[0, active], 2.0 * u[0, active], rtol=1e-12)
     np.testing.assert_allclose(logdet, [[math.log(2.0)]], rtol=1e-12)
@@ -73,10 +83,10 @@ def test_constant_shift_inverse_subtracts():
     blk = replace(blk, t_params=_with_final_bias(blk.t_params, 1.0))
     u = np.array([[0.25, -1.5]])
     cond = np.zeros((1, 1))
-    v, _ = coupling_forward(blk, u, cond)
+    v, _ = flow_forward(_one_block(model, blk), u, cond)
     active = blk.active[0]
     assert v[0, active] == pytest.approx(u[0, active] + 1.0)
-    np.testing.assert_allclose(coupling_inverse(blk, v, cond), u, atol=1e-12)
+    np.testing.assert_allclose(_block_inverse(model, blk, v, cond), u, atol=1e-12)
 
 
 @pytest.mark.parametrize("d_x,d_y", [(1, 1), (2, 1), (3, 2), (4, 2)])
@@ -88,8 +98,8 @@ def test_round_trip_random_parameters(d_x, d_y):
         u = rng.standard_normal((100, d_x))
         cond = rng.standard_normal((100, d_y))
         for blk in model.blocks:
-            v, _ = coupling_forward(blk, u, cond)
-            back = coupling_inverse(blk, v, cond)
+            v, _ = flow_forward(_one_block(model, blk), u, cond)
+            back = _block_inverse(model, blk, v, cond)
             worst = max(worst, np.abs(back - u).max())
     assert worst < 1e-9
 
@@ -224,10 +234,11 @@ def test_sampling_reproducible_and_scored_finite():
 
 def _untiled_forward(model, z, y):
     """flow_forward as it ran before row tiling: every block over the whole batch."""
-    cond = (y - model.y_shift) / model.y_scale
-    u, logdet = z, np.zeros((z.shape[0], 1))
+    dtype = model.blocks[0].s_params.layers[0].dtype
+    cond1 = with_bias_column((y - model.y_shift) / model.y_scale, dtype)
+    u, logdet = z.astype(dtype), np.zeros((z.shape[0], 1))
     for blk, perm in zip(model.blocks, model.perms):
-        u, ld = coupling_forward(blk, u[:, list(perm)], cond)
+        u, ld = _coupling_forward(blk, model.clamp, u[:, list(perm)], cond1)
         logdet = logdet + ld
     return u * model.x_scale + model.x_shift, logdet + float(np.log(model.x_scale).sum())
 
@@ -260,7 +271,7 @@ def _assert_within_float32_rounding(x, x_ref, model):
     block it feeds, relative to the largest |x_ref|."""
     roundings = sum(din for blk in model.blocks for net in (blk.s_params, blk.t_params)
                     for din, _ in net.spec.layer_dims)
-    tol = roundings * np.finfo(np.float32).eps / 2 * math.exp(model.blocks[0].clamp)
+    tol = roundings * np.finfo(np.float32).eps / 2 * math.exp(model.clamp)
     np.testing.assert_allclose(x, x_ref, rtol=0, atol=tol * np.abs(x_ref).max())
 
 
@@ -445,6 +456,11 @@ def test_flow_serialization_round_trip():
     ("clamp", float("inf"), "clamp must be finite and positive"),
     ("masks", [[0, 0], [1]], "not a set of coordinates"),
     ("masks", [[7], [1]], "not a set of coordinates"),
+    ("d_x", 2.5, "d_x 2.5 is not an integer"),
+    ("d_y", True, "d_y True is not an integer"),
+    ("masks", [[0.5], [1]], "mask entry 0.5 is not an integer"),
+    ("masks", [[1.0], [0]], "mask entry 1.0 is not an integer"),
+    ("permutations", [[0, 1], [1, 0.0]], "permutation entry 0.0 is not an integer"),
 ])
 def test_flow_from_jsonable_rejects_invalid_numbers_and_masks(key, value, match):
     doc = flow_to_jsonable(build_flow(2, 1, n_blocks=2, hidden=(4,), seed=0))
@@ -464,8 +480,9 @@ def _narrow_subnets(blk):
     (lambda blk: replace(blk, t_params=init_mlp(MlpSpec(2, 2, (4,)), np.random.default_rng(0))),
      "block 0: t subnet maps 2 -> 2 values, not 3 -> 2"),
     (lambda blk: replace(blk, passive=(1,)), "not a set of coordinates with passive"),
-    (lambda blk: replace(blk, clamp=3.0), "block 1: clamp 2.0 differs from block 0's 3.0"),
-], ids=["narrow-subnets", "t-input-too-narrow", "passive-misses-a-coordinate", "clamp-differs"])
+    (lambda blk: replace(blk, active=(), passive=(0, 1, 2, 3)),
+     "a coupling block must transform at least one coordinate"),
+], ids=["narrow-subnets", "t-input-too-narrow", "passive-misses-a-coordinate", "empty-mask"])
 def test_flow_model_rejects_a_layout_its_passes_cannot_run(edit, match):
     model = build_flow(4, 1, n_blocks=2, hidden=(4,), seed=0)
     blocks = (edit(model.blocks[0]), *model.blocks[1:])
