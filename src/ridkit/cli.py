@@ -222,11 +222,13 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     cfg = _wnll_config(args, derive_seed(args.seed, "flow-train"))
     dataset = read_dataset(Path(args.dataset))
-    weights = None
+    data_path = dataset_path(args.dataset)
+    dataset_sha256 = sha256_of(data_path)
+    weights = weights_sha256 = None
     if args.weights is not None:
         weights, source_sha256 = read_weights(Path(args.weights))
-        data_path = dataset_path(args.dataset)
-        if source_sha256 != sha256_of(data_path):
+        weights_sha256 = sha256_of(Path(args.weights))
+        if source_sha256 != dataset_sha256:
             raise DataError(f"{args.weights} was computed from the dataset with sha256 "
                             f"{source_sha256}, not from {data_path}")
         if weights.shape[0] != dataset.n:
@@ -242,7 +244,7 @@ def cmd_train(args) -> int:
         seed=derive_seed(args.seed, "flow-init"),
     )
     trained, trace = train_flow_wnll(model, dataset.x, dataset.y, weights, cfg)
-    write_json(out / MODEL_FILE, flow_to_jsonable(trained))
+    write_json(out / MODEL_FILE, flow_to_jsonable(trained, dataset_sha256, weights_sha256))
     write_json(
         out / TRACE_FILE,
         {

@@ -24,6 +24,7 @@ from .neural import (
     _mlp_backward,
     fit_minibatch,
     init_mlp,
+    json_numbers,
     mlp_forward,
     mlp_from_jsonable,
     mlp_to_jsonable,
@@ -241,8 +242,9 @@ def _coupling_inverse_backward(block: CouplingBlock, clamp: float, record, g_u: 
     # exp(-s_eff) feeds back its own value; the log-det sums s_eff per row
     g_s_eff = g_ld + (g_ua * diff * e) * -1.0
     g_s_raw = g_s_eff * (clamp * (2.0 / math.pi)) / (1.0 + s_raw * s_raw)
-    g_h = _mlp_backward(block.t_params, h, t_tape, g_diff * -1.0, grads.t_params)
-    g_h = g_h + _mlp_backward(block.s_params, h, s_tape, g_s_raw, grads.s_params)
+    d_t = _mlp_backward(block.t_params, h, t_tape, g_diff * -1.0, grads.t_params)
+    d_s = _mlp_backward(block.s_params, h, s_tape, g_s_raw, grads.s_params)
+    g_h = d_t @ block.t_params.layers[0][:-1].T + d_s @ block.s_params.layers[0][:-1].T
     g_v = np.empty_like(g_u)
     g_v[:, active] = g_diff
     g_v[:, passive] = g_u[:, passive] + g_h[:, :len(passive)]
@@ -466,13 +468,18 @@ def train_flow_wnll(
 
 # serialization ---------------------------------------------------------------------
 
-FLOW_FORMAT_VERSION = 1
+FLOW_FORMAT_VERSION = 2
 
 
-def flow_to_jsonable(model: FlowModel) -> dict:
+def flow_to_jsonable(model: FlowModel, dataset_sha256: str, weights_sha256: str | None) -> dict:
+    """The model document, naming the dataset.jsonl the model was trained
+    on and the weights.json it was weighted by (None when unweighted) by
+    their sha256."""
     return {
         "format_version": FLOW_FORMAT_VERSION,
         "kind": "coupling-flow",
+        "dataset_sha256": dataset_sha256,
+        "weights_sha256": weights_sha256,
         "d_x": model.d_x,
         "d_y": model.d_y,
         "clamp": model.clamp,
@@ -496,17 +503,30 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _is_sha256(value) -> bool:
+    return type(value) is str and len(value) == 64 and set(value) <= set("0123456789abcdef")
+
+
 def flow_from_jsonable(doc: dict) -> FlowModel:
-    """Inverse of flow_to_jsonable. Raises ValueError for a document that is
-    not a coupling-flow model, misses or mistypes one of its fields, holds
-    a dimension or index that is not a JSON integer, a non-finite number or
-    a non-positive scale or clamp, gives masks, subnets, permutations or
+    """Inverse of flow_to_jsonable; the input hashes are checked for form
+    and not returned. Raises ValueError for a document that is not a
+    coupling-flow model of this format version, names an input by anything
+    but a lowercase hex sha256 (or, for the weights, null), misses or
+    mistypes one of its fields, holds a dimension or index that is not a
+    JSON integer, a number that is not a finite JSON number or a
+    non-positive scale or clamp, gives masks, subnets, permutations or
     subnet layers in counts that do not match, or lays them out in a way
     FlowModel rejects."""
     if not isinstance(doc, dict) or doc.get("kind") != "coupling-flow":
         raise ValueError("not a coupling-flow model document")
     if doc.get("format_version") != FLOW_FORMAT_VERSION:
         raise ValueError(f"unsupported flow format_version {doc.get('format_version')}")
+    for key, nullable in (("dataset_sha256", False), ("weights_sha256", True)):
+        if key not in doc:
+            raise ValueError(f"coupling-flow model has no {key}")
+        if not (_is_sha256(doc[key]) or nullable and doc[key] is None):
+            raise ValueError(f"coupling-flow {key} {doc[key]!r} is not a sha256 hex digest"
+                             + (" or null" if nullable else ""))
     try:
         d_x, d_y = _integer(doc["d_x"], "d_x"), _integer(doc["d_y"], "d_y")
         if len(doc["masks"]) != len(doc["subnets"]):
@@ -526,7 +546,7 @@ def flow_from_jsonable(doc: dict) -> FlowModel:
             )
 
         def row(key, d):
-            a = np.asarray(doc[key], dtype=np.float64).reshape(1, d)
+            a = json_numbers(doc[key], f"coupling-flow {key}").reshape(1, d)
             if not np.isfinite(a).all():
                 raise ValueError(f"coupling-flow {key} must be finite")
             if key.endswith("scale") and np.any(a <= 0):
@@ -536,7 +556,7 @@ def flow_from_jsonable(doc: dict) -> FlowModel:
         return FlowModel(
             d_x=d_x,
             d_y=d_y,
-            clamp=float(doc["clamp"]),
+            clamp=float(json_numbers([doc["clamp"]], "coupling-flow clamp")[0]),
             blocks=tuple(blocks),
             perms=tuple(tuple(_integer(i, "permutation entry") for i in p)
                         for p in doc["permutations"]),

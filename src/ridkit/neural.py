@@ -29,6 +29,7 @@ __all__ = [
     "FlatAdam",
     "fit_minibatch",
     "train_regressor",
+    "json_numbers",
     "mlp_to_jsonable",
     "mlp_from_jsonable",
 ]
@@ -161,10 +162,13 @@ def _mlp_backward(params: MlpParams, x: np.ndarray, tape: Sequence[np.ndarray], 
 
     Writes each layer's gradient into the matching array of `grads` (the
     bias row comes out of the same matmul as the weights, through the
-    input's constant column) and returns the adjoint of x without that
-    column. A hidden layer's adjoint keeps the constant column too, so the
-    elementwise tanh step runs over whole contiguous arrays; 1 - 1*1 zeroes
-    that column before the slice that drops it.
+    input's constant column) and returns d, the adjoint of the first
+    layer's matmul output. A caller that needs the adjoint of x forms it as
+    d @ params.layers[0][:-1].T (the constant column has none); the
+    surrogate loss does not, so the pass does not compute it. A hidden
+    layer's adjoint keeps the constant column too, so the elementwise tanh
+    step runs over whole contiguous arrays; 1 - 1*1 zeroes that column
+    before the slice that drops it.
     """
     layers = params.layers
     last = len(layers) - 1
@@ -177,8 +181,9 @@ def _mlp_backward(params: MlpParams, x: np.ndarray, tape: Sequence[np.ndarray], 
             d *= g
             d = d[:, :-1]
         np.matmul((tape[li - 1] if li else x).T, d, out=grads.layers[li])
-        g = d @ (layers[li].T if li else layers[li][:-1].T)
-    return g
+        if li:
+            g = d @ layers[li].T
+    return d
 
 
 # optimizer ---------------------------------------------------------------------
@@ -404,6 +409,24 @@ def train_regressor(
 MLP_FORMAT_VERSION = 2
 
 
+def json_numbers(values, what: str) -> np.ndarray:
+    """values, which must be a flat list of JSON numbers, as float64.
+
+    A bool, a string or a list is not a number, so a list holding any of
+    them raises ValueError naming `what`, and so does an integer beyond
+    float64 or a value that is not a list.
+    """
+    if type(values) is not list:
+        raise ValueError(f"{what} must be a list of JSON numbers, not a {type(values).__name__}")
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(type(v).__name__ for v in values if type(v) not in (int, float))
+        raise ValueError(f"{what} must hold JSON numbers only, not a {bad}")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
 def mlp_to_jsonable(params: MlpParams) -> dict:
     return {
         "format_version": MLP_FORMAT_VERSION,
@@ -422,7 +445,8 @@ def mlp_to_jsonable(params: MlpParams) -> dict:
 
 def mlp_from_jsonable(doc: dict) -> MlpParams:
     """Inverse of mlp_to_jsonable. Raises ValueError for a layer count that
-    does not match the spec or a non-finite weight or bias."""
+    does not match the spec, or a weight or bias that is not a finite JSON
+    number."""
     if doc.get("format_version") != MLP_FORMAT_VERSION:
         raise ValueError(f"unsupported mlp format_version {doc.get('format_version')}")
     s = doc["spec"]
@@ -431,8 +455,8 @@ def mlp_from_jsonable(doc: dict) -> MlpParams:
         raise ValueError(f"mlp has {len(doc['layers'])} layers for a spec of "
                          f"{len(spec.layer_dims)}")
     params = MlpParams(spec, tuple(
-        np.vstack([np.asarray(layer["weight"], dtype=np.float64).reshape(din, dout),
-                   np.asarray(layer["bias"], dtype=np.float64).reshape(1, dout)])
+        np.vstack([json_numbers(layer["weight"], "mlp weight").reshape(din, dout),
+                   json_numbers(layer["bias"], "mlp bias").reshape(1, dout)])
         for (din, dout), layer in zip(spec.layer_dims, doc["layers"])))
     if not all(np.isfinite(a).all() for a in params.arrays()):
         raise ValueError("mlp weights and biases must be finite")

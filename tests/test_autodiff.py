@@ -44,12 +44,14 @@ def _nan_grads(model):
 
 
 def _backward(params, x, g):
-    """The reverse pass for rows x (without their constant column)."""
+    """The reverse pass for rows x (without their constant column): the
+    adjoint of x, formed from the first layer's adjoint as the flow forms
+    it, and the gradients."""
     x1, tape = with_bias_column(x, params.layers[0].dtype), []
     mlp_forward(params, x1, tape)
     grads = _nan_grads(params)
-    g_x = _mlp_backward(params, x1, tape, g, grads)
-    return g_x, grads
+    d = _mlp_backward(params, x1, tape, g, grads)
+    return d @ params.layers[0][:-1].T, grads
 
 
 def _batch(x, y):

@@ -228,6 +228,38 @@ def test_omitted_weights_equals_all_ones_file(dataset_dir, tmp_path):
     assert t1 == t2
 
 
+def test_model_names_its_training_inputs_by_sha256(dataset_dir, tmp_path):
+    assert run("weights", "--dataset", dataset_dir, "--k", "2", "--epochs", "1",
+               "--out", dataset_dir) == 0
+    train = ("--dataset", dataset_dir, "--blocks", "2", "--hidden", "8", "--epochs", "1")
+    assert run("train", *train, "--weights", dataset_dir / WEIGHTS_FILE,
+               "--out", tmp_path / "w") == 0
+    assert run("train", *train, "--out", tmp_path / "u") == 0
+    weighted, unweighted = (read_json(tmp_path / d / MODEL_FILE) for d in ("w", "u"))
+    assert weighted["format_version"] == unweighted["format_version"] == 2
+    assert weighted["dataset_sha256"] == sha256_of(dataset_dir / DATASET_FILE)
+    assert unweighted["dataset_sha256"] == weighted["dataset_sha256"]
+    assert weighted["weights_sha256"] == sha256_of(dataset_dir / WEIGHTS_FILE)
+    assert unweighted["weights_sha256"] is None
+
+
+def test_weights_that_are_not_json_numbers_are_data_error_naming_the_file(dataset_dir,
+                                                                          tmp_path, capsys):
+    wfile = tmp_path / "weights_strings.json"
+    wfile.write_text(json.dumps({
+        "format_version": 3, "kind": "sample-weights",
+        "dataset_sha256": sha256_of(dataset_dir / DATASET_FILE),
+        "config": {"k_folds": 2, "tau": 1.0, "eps": 1e-3, "epochs": 1, "batch_size": 8,
+                   "seed": 0},
+        "weights": ["1.5", True, 2] + [1.0] * 117,
+    }))
+    assert run("train", "--dataset", dataset_dir, "--weights", wfile, "--blocks", "2",
+               "--hidden", "8", "--epochs", "1", "--out", tmp_path / "m") == 3
+    assert capsys.readouterr().err == (
+        f"data error: malformed weights file {wfile}: 'weights' must hold JSON numbers "
+        "only, not a str\n")
+
+
 def test_missing_dataset_is_data_error(tmp_path):
     code = run("weights", "--dataset", tmp_path / "nope", "--out", tmp_path)
     assert code == 3
@@ -444,10 +476,28 @@ def _model_mlp_version_one(tmp_path, model_file, data, out):
     return ("sample", "--model", bad, "--targets", data, "--out", out)
 
 
+def _model_version_one(tmp_path, model_file, data, out):
+    # flow format 1 did not name the model's training inputs
+    doc = read_json(model_file)
+    del doc["dataset_sha256"], doc["weights_sha256"]
+    doc["format_version"] = 1
+    bad = tmp_path / "version_one.json"
+    bad.write_text(json.dumps(doc))
+    return ("sample", "--model", bad, "--targets", data, "--out", out)
+
+
+def _model_uppercase_hash(tmp_path, model_file, data, out):
+    doc = read_json(model_file)
+    doc["dataset_sha256"] = doc["dataset_sha256"].upper()
+    bad = tmp_path / "uppercase_hash.json"
+    bad.write_text(json.dumps(doc))
+    return ("eval", "--model", bad, "--task", "radian", "--n-targets", "4", "--out", out)
+
+
 def _model_narrow_subnet(tmp_path, model_file, data, out):
     # block 0's subnets give one value for its two active coordinates, which
     # would broadcast into both
-    doc = flow_to_jsonable(build_flow(4, 1, n_blocks=2, hidden=(8,), seed=0))
+    doc = flow_to_jsonable(build_flow(4, 1, n_blocks=2, hidden=(8,), seed=0), "0" * 64, None)
     narrow = mlp_to_jsonable(init_mlp(MlpSpec(3, 1, (8,)), np.random.default_rng(0)))
     doc["subnets"][0] = {"s": narrow, "t": narrow}
     bad = tmp_path / "narrow_subnet.json"
@@ -497,12 +547,13 @@ def _model_extra_layer(tmp_path, model_file, data, out):
     _non_finite_target, _meta_without_task, _sample_with_non_model, _eval_with_non_model,
     _model_missing_field, _model_without_blocks, _model_nan_weight, _model_zero_scale,
     _model_extra_subnet, _model_extra_layer, _model_mlp_version_one, _weights_version_two,
-    _model_narrow_subnet, _weights_not_a_list,
+    _model_narrow_subnet, _weights_not_a_list, _model_version_one, _model_uppercase_hash,
 ], ids=["sample-nan-target", "train-meta-without-task", "sample-non-model",
         "eval-non-model", "eval-baseline-missing-field", "sample-model-without-blocks",
         "sample-model-nan-weight", "eval-model-zero-scale", "sample-model-extra-subnet",
         "sample-model-extra-layer", "sample-model-mlp-version-one", "train-weights-version-two",
-        "sample-model-narrow-subnet", "train-weights-not-a-list"])
+        "sample-model-narrow-subnet", "train-weights-not-a-list", "sample-model-version-one",
+        "eval-model-uppercase-hash"])
 def test_malformed_input_is_data_error(model_file, dataset_dir, tmp_path, capsys, make_argv):
     out = tmp_path / "o"
     assert run(*make_argv(tmp_path, model_file, dataset_dir, out)) == 3

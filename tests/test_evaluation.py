@@ -268,7 +268,8 @@ def test_report_serialization_excludes_timing_by_default(tmp_path, capsys):
     # report.json is built by `ridkit eval`: the wall-clock time of the
     # re-simulation is printed, never written
     model_path = tmp_path / MODEL_FILE
-    write_json(model_path, flow_to_jsonable(build_flow(2, 1, n_blocks=2, hidden=(8,), seed=0)))
+    model = build_flow(2, 1, n_blocks=2, hidden=(8,), seed=0)
+    write_json(model_path, flow_to_jsonable(model, "0" * 64, None))
     out = tmp_path / "eval"
     assert main(["eval", "--model", str(model_path), "--task", "radian", "--noise", "none",
                  "--n-targets", "2", "--seed", "1", "--out", str(out)]) == 0

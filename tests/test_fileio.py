@@ -14,6 +14,7 @@ from ridkit.fileio import (
     read_json,
     read_targets,
     write_dataset,
+    write_json,
     write_samples,
 )
 from ridkit.flow import build_flow, flow_from_jsonable, flow_sample, flow_to_jsonable
@@ -39,7 +40,7 @@ def model_file(tmp_path):
                 t_params=init_mlp(b.t_params.spec, rng))
         for b in model.blocks))
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(flow_to_jsonable(model)))
+    path.write_text(json.dumps(flow_to_jsonable(model, "0" * 64, None)))
     return path
 
 
@@ -49,6 +50,15 @@ def targets_file(tmp_path):
     path = tmp_path / "targets.jsonl"
     path.write_text("".join(json.dumps({"y": row}) + "\n" for row in y.tolist()))
     return path
+
+
+def test_json_artifacts_are_one_line_that_reads_back(tmp_path):
+    doc = {"format_version": 1, "values": [0.1, -2.5e-300, 3], "nested": {"a": None, "b": []}}
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert read_json(path) == doc
 
 
 def test_sampled_designs_keep_float32_round_trip_precision(model_file, targets_file, tmp_path):

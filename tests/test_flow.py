@@ -439,7 +439,7 @@ def test_flow_serialization_round_trip():
         y_shift=np.array([[0.5, 0.0]]),
         y_scale=np.array([[2.0, 0.4]]),
     )
-    back = flow_from_jsonable(flow_to_jsonable(model))
+    back = flow_from_jsonable(flow_to_jsonable(model, "0" * 64, None))
     rng = np.random.default_rng(19)
     x = rng.standard_normal((20, 3))
     y = rng.standard_normal((20, 2))
@@ -447,6 +447,16 @@ def test_flow_serialization_round_trip():
     np.testing.assert_array_equal(
         flow_sample(model, y, 3, seed=1), flow_sample(back, y, 3, seed=1)
     )
+
+
+def _string_weight(subnets):
+    subnets[0]["s"]["layers"][0]["weight"][0] = "0.5"
+    return subnets
+
+
+def _true_bias(subnets):
+    subnets[1]["t"]["layers"][-1]["bias"][0] = True
+    return subnets
 
 
 @pytest.mark.parametrize("key, value, match", [
@@ -461,10 +471,35 @@ def test_flow_serialization_round_trip():
     ("masks", [[0.5], [1]], "mask entry 0.5 is not an integer"),
     ("masks", [[1.0], [0]], "mask entry 1.0 is not an integer"),
     ("permutations", [[0, 1], [1, 0.0]], "permutation entry 0.0 is not an integer"),
+    ("clamp", "2.0", "clamp must hold JSON numbers only, not a str"),
+    ("clamp", True, "clamp must hold JSON numbers only, not a bool"),
+    ("x_scale", ["1", "1"], "x_scale must hold JSON numbers only, not a str"),
+    ("subnets", _string_weight, "mlp weight must hold JSON numbers only, not a str"),
+    ("subnets", _true_bias, "mlp bias must hold JSON numbers only, not a bool"),
 ])
 def test_flow_from_jsonable_rejects_invalid_numbers_and_masks(key, value, match):
-    doc = flow_to_jsonable(build_flow(2, 1, n_blocks=2, hidden=(4,), seed=0))
-    doc[key] = value
+    doc = flow_to_jsonable(build_flow(2, 1, n_blocks=2, hidden=(4,), seed=0), "0" * 64, None)
+    doc[key] = value(doc[key]) if callable(value) else value
+    with pytest.raises(ValueError, match=match):
+        flow_from_jsonable(doc)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("dataset_sha256", None, "dataset_sha256 None is not a sha256 hex digest$"),
+    ("dataset_sha256", "0" * 63, "is not a sha256 hex digest$"),
+    ("dataset_sha256", "A" * 64, "is not a sha256 hex digest$"),
+    ("weights_sha256", "g" * 64, "is not a sha256 hex digest or null"),
+    ("weights_sha256", 0, "weights_sha256 0 is not a sha256 hex digest or null"),
+    ("weights_sha256", KeyError, "has no weights_sha256"),
+], ids=["dataset-null", "dataset-short", "dataset-uppercase",
+        "weights-not-hex", "weights-number", "weights-missing"])
+def test_flow_from_jsonable_requires_its_input_hashes(key, value, match):
+    doc = flow_to_jsonable(build_flow(2, 1, n_blocks=2, hidden=(4,), seed=0), "0" * 64, "f" * 64)
+    flow_from_jsonable(doc)
+    if value is KeyError:
+        del doc[key]
+    else:
+        doc[key] = value
     with pytest.raises(ValueError, match=match):
         flow_from_jsonable(doc)
 
