@@ -1,4 +1,5 @@
-"""Versioned JSON / JSON-lines artifact formats.
+"""Versioned JSON / JSON-lines artifact formats, all but model.json, which
+ridkit.flow reads and writes.
 
 Every emitted file carries a format-version field and enough of the
 generating configuration to reproduce it; serialization is deterministic,
@@ -14,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .neural import json_numbers
 from .tasks import Dataset, NoiseSpec, make_task
 from .weights import WeightConfig
 
@@ -30,6 +30,7 @@ __all__ = [
     "REPORT_FILE",
     "write_json",
     "read_json",
+    "json_numbers",
     "sha256_of",
     "dataset_path",
     "write_dataset",
@@ -76,6 +77,24 @@ def read_json(path: Path) -> dict:
         raise DataError(f"missing file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def json_numbers(values, what: str) -> np.ndarray:
+    """values, which must be a flat list of JSON numbers, as float64.
+
+    A bool, a string or a list is not a number, so a list holding any of
+    them raises ValueError naming `what`, and so does an integer beyond
+    float64 or a value that is not a list.
+    """
+    if type(values) is not list:
+        raise ValueError(f"{what} must be a list of JSON numbers, not a {type(values).__name__}")
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(type(v).__name__ for v in values if type(v) not in (int, float))
+        raise ValueError(f"{what} must hold JSON numbers only, not a {bad}")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def sha256_of(path: Path) -> str:

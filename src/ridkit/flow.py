@@ -18,16 +18,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import backend
+from .fileio import json_numbers
 from .neural import (
     MlpParams,
     MlpSpec,
     _mlp_backward,
     fit_minibatch,
     init_mlp,
-    json_numbers,
     mlp_forward,
-    mlp_from_jsonable,
-    mlp_to_jsonable,
     with_bias_column,
 )
 
@@ -66,14 +64,24 @@ class CouplingBlock:
     t_params: MlpParams
 
 
+def _check_split(active: tuple[int, ...], passive: tuple[int, ...], d_x: int) -> None:
+    """Raises ValueError unless active is a non-empty set of coordinates
+    and passive its complement in 0..d_x-1."""
+    if not active:
+        raise ValueError("a coupling block must transform at least one coordinate")
+    if sorted(active + passive) != list(range(d_x)):
+        raise ValueError(f"coupling-flow mask {list(active)} is not a set of coordinates "
+                         f"with passive {list(passive)} as its complement in 0..{d_x - 1}")
+
+
 @dataclass(frozen=True)
 class FlowModel:
     """Coupling blocks over d_x coordinates conditioned on d_y. Each block
     splits 0..d_x-1 into a non-empty active set and its passive complement,
-    and its subnets map [passive, y] to one value per active coordinate;
-    construction checks both. Every block saturates its raw scale to
-    clamp*(2/pi)*atan(raw), so each effective log-scale stays strictly
-    inside (-clamp, clamp)."""
+    and its subnets map [passive, y] to one value per active coordinate
+    through block 0's hidden widths; construction checks all three. Every
+    block saturates its raw scale to clamp*(2/pi)*atan(raw), so each
+    effective log-scale stays strictly inside (-clamp, clamp)."""
 
     d_x: int
     d_y: int
@@ -95,19 +103,19 @@ class FlowModel:
         for p in self.perms:
             if sorted(p) != list(range(self.d_x)):
                 raise ValueError(f"{p} is not a permutation of 0..{self.d_x - 1}")
+        hidden = self.blocks[0].s_params.spec.hidden
         for li, blk in enumerate(self.blocks):
-            if not blk.active:
-                raise ValueError("a coupling block must transform at least one coordinate")
-            if sorted(blk.active + blk.passive) != list(range(self.d_x)):
-                raise ValueError(f"coupling-flow mask {list(blk.active)} is not a set of "
-                                 f"coordinates with passive {list(blk.passive)} as its "
-                                 f"complement in 0..{self.d_x - 1}")
+            _check_split(blk.active, blk.passive, self.d_x)
             want = (len(blk.passive) + self.d_y, len(blk.active))
             for name, params in (("s", blk.s_params), ("t", blk.t_params)):
                 got = (params.spec.input_dim, params.spec.output_dim)
                 if got != want:
                     raise ValueError(f"block {li}: {name} subnet maps {got[0]} -> {got[1]} "
                                      f"values, not {want[0]} -> {want[1]}")
+                if params.spec.hidden != hidden:
+                    raise ValueError(f"block {li}: {name} subnet has hidden widths "
+                                     f"{list(params.spec.hidden)}, not the {list(hidden)} of "
+                                     "block 0's s subnet")
 
     def arrays(self) -> list[np.ndarray]:
         """The subnet arrays in training order: each block's s arrays, then
@@ -468,13 +476,14 @@ def train_flow_wnll(
 
 # serialization ---------------------------------------------------------------------
 
-FLOW_FORMAT_VERSION = 2
+FLOW_FORMAT_VERSION = 3
 
 
 def flow_to_jsonable(model: FlowModel, dataset_sha256: str, weights_sha256: str | None) -> dict:
     """The model document, naming the dataset.jsonl the model was trained
     on and the weights.json it was weighted by (None when unweighted) by
-    their sha256."""
+    their sha256. It holds the hidden widths once and each subnet layer as
+    the flat row-major list of its [W; b] array."""
     return {
         "format_version": FLOW_FORMAT_VERSION,
         "kind": "coupling-flow",
@@ -483,6 +492,7 @@ def flow_to_jsonable(model: FlowModel, dataset_sha256: str, weights_sha256: str 
         "d_x": model.d_x,
         "d_y": model.d_y,
         "clamp": model.clamp,
+        "hidden": list(model.blocks[0].s_params.spec.hidden),
         "masks": [list(blk.active) for blk in model.blocks],
         "permutations": [list(p) for p in model.perms],
         "x_shift": model.x_shift.ravel().tolist(),
@@ -490,7 +500,8 @@ def flow_to_jsonable(model: FlowModel, dataset_sha256: str, weights_sha256: str 
         "y_shift": model.y_shift.ravel().tolist(),
         "y_scale": model.y_scale.ravel().tolist(),
         "subnets": [
-            {"s": mlp_to_jsonable(blk.s_params), "t": mlp_to_jsonable(blk.t_params)}
+            {name: [a.ravel().tolist() for a in params.layers]
+             for name, params in (("s", blk.s_params), ("t", blk.t_params))}
             for blk in model.blocks
         ],
     }
@@ -503,6 +514,24 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values, which must be a list of JSON integers."""
+    if type(values) is not list:
+        raise ValueError(f"coupling-flow {what} {values!r} is not a list")
+    return tuple(_integer(v, f"{what} entry") for v in values)
+
+
+def _floats(values, shape: tuple[int, int], what: str) -> np.ndarray:
+    """values, which must be the flat row-major list of finite JSON numbers
+    of an array of the given shape, as that float64 array."""
+    a = json_numbers(values, f"coupling-flow {what}")
+    if a.size != math.prod(shape):
+        raise ValueError(f"coupling-flow {what} has {a.size} entries, not {math.prod(shape)}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"coupling-flow {what} must be finite")
+    return a.reshape(shape)
+
+
 def _is_sha256(value) -> bool:
     return type(value) is str and len(value) == 64 and set(value) <= set("0123456789abcdef")
 
@@ -512,11 +541,11 @@ def flow_from_jsonable(doc: dict) -> FlowModel:
     and not returned. Raises ValueError for a document that is not a
     coupling-flow model of this format version, names an input by anything
     but a lowercase hex sha256 (or, for the weights, null), misses or
-    mistypes one of its fields, holds a dimension or index that is not a
-    JSON integer, a number that is not a finite JSON number or a
-    non-positive scale or clamp, gives masks, subnets, permutations or
-    subnet layers in counts that do not match, or lays them out in a way
-    FlowModel rejects."""
+    mistypes a field, holds a dimension, hidden width or index that is not
+    a JSON integer, a hidden width below 1, a number that is not a finite
+    JSON number, a non-positive scale or clamp or a row or layer of the
+    wrong length, gives masks, subnets, permutations or layers in counts
+    that do not match, or a layout FlowModel rejects."""
     if not isinstance(doc, dict) or doc.get("kind") != "coupling-flow":
         raise ValueError("not a coupling-flow model document")
     if doc.get("format_version") != FLOW_FORMAT_VERSION:
@@ -529,26 +558,33 @@ def flow_from_jsonable(doc: dict) -> FlowModel:
                              + (" or null" if nullable else ""))
     try:
         d_x, d_y = _integer(doc["d_x"], "d_x"), _integer(doc["d_y"], "d_y")
+        hidden = _integers(doc["hidden"], "hidden")
+        if min(hidden, default=1) < 1:
+            raise ValueError(f"coupling-flow hidden entry {min(hidden)} is below 1")
         if len(doc["masks"]) != len(doc["subnets"]):
             raise ValueError(f"coupling-flow has {len(doc['masks'])} masks for "
                              f"{len(doc['subnets'])} subnets")
+
+        def subnet(li: int, name: str, spec: MlpSpec) -> MlpParams:
+            layers = doc["subnets"][li][name]
+            if len(layers) != len(spec.layer_dims):
+                raise ValueError(f"coupling-flow block {li} {name} subnet has {len(layers)} "
+                                 f"layers, not {len(spec.layer_dims)}")
+            return MlpParams(spec, tuple(
+                _floats(flat, (din + 1, dout), f"block {li} {name} layer {i}")
+                for i, ((din, dout), flat) in enumerate(zip(spec.layer_dims, layers))))
+
         blocks = []
-        for mask, nets in zip(doc["masks"], doc["subnets"]):
-            active = tuple(_integer(i, "mask entry") for i in mask)
+        for li, mask in enumerate(doc["masks"]):
+            active = _integers(mask, "mask")
             passive = tuple(i for i in range(d_x) if i not in active)
-            blocks.append(
-                CouplingBlock(
-                    active=active,
-                    passive=passive,
-                    s_params=mlp_from_jsonable(nets["s"]),
-                    t_params=mlp_from_jsonable(nets["t"]),
-                )
-            )
+            _check_split(active, passive, d_x)  # the subnet widths follow from it
+            spec = MlpSpec(len(passive) + d_y, len(active), hidden)
+            blocks.append(CouplingBlock(active, passive, subnet(li, "s", spec),
+                                        subnet(li, "t", spec)))
 
         def row(key, d):
-            a = json_numbers(doc[key], f"coupling-flow {key}").reshape(1, d)
-            if not np.isfinite(a).all():
-                raise ValueError(f"coupling-flow {key} must be finite")
+            a = _floats(doc[key], (1, d), key)
             if key.endswith("scale") and np.any(a <= 0):
                 raise ValueError(f"coupling-flow {key} must be positive")
             return a
@@ -558,8 +594,7 @@ def flow_from_jsonable(doc: dict) -> FlowModel:
             d_y=d_y,
             clamp=float(json_numbers([doc["clamp"]], "coupling-flow clamp")[0]),
             blocks=tuple(blocks),
-            perms=tuple(tuple(_integer(i, "permutation entry") for i in p)
-                        for p in doc["permutations"]),
+            perms=tuple(_integers(p, "permutation") for p in doc["permutations"]),
             x_shift=row("x_shift", d_x),
             x_scale=row("x_scale", d_x),
             y_shift=row("y_shift", d_y),

@@ -29,9 +29,6 @@ __all__ = [
     "FlatAdam",
     "fit_minibatch",
     "train_regressor",
-    "json_numbers",
-    "mlp_to_jsonable",
-    "mlp_from_jsonable",
 ]
 
 class TrainingError(Exception):
@@ -403,61 +400,3 @@ def train_regressor(
     return fit_minibatch(value_and_gradients, init_mlp(spec, rng), batch, n,
                          epochs, batch_size, rng, _REGRESSOR_LEARNING_RATE)
 
-
-# serialization -------------------------------------------------------------------
-
-MLP_FORMAT_VERSION = 2
-
-
-def json_numbers(values, what: str) -> np.ndarray:
-    """values, which must be a flat list of JSON numbers, as float64.
-
-    A bool, a string or a list is not a number, so a list holding any of
-    them raises ValueError naming `what`, and so does an integer beyond
-    float64 or a value that is not a list.
-    """
-    if type(values) is not list:
-        raise ValueError(f"{what} must be a list of JSON numbers, not a {type(values).__name__}")
-    if not set(map(type, values)) <= {int, float}:
-        bad = next(type(v).__name__ for v in values if type(v) not in (int, float))
-        raise ValueError(f"{what} must hold JSON numbers only, not a {bad}")
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except OverflowError as exc:
-        raise ValueError(f"{what}: {exc}") from exc
-
-
-def mlp_to_jsonable(params: MlpParams) -> dict:
-    return {
-        "format_version": MLP_FORMAT_VERSION,
-        "kind": "mlp-regressor",
-        "spec": {
-            "input_dim": params.spec.input_dim,
-            "output_dim": params.spec.output_dim,
-            "hidden": list(params.spec.hidden),
-        },
-        "layers": [
-            {"weight": a[:-1].ravel().tolist(), "bias": a[-1].tolist()}
-            for a in params.layers
-        ],
-    }
-
-
-def mlp_from_jsonable(doc: dict) -> MlpParams:
-    """Inverse of mlp_to_jsonable. Raises ValueError for a layer count that
-    does not match the spec, or a weight or bias that is not a finite JSON
-    number."""
-    if doc.get("format_version") != MLP_FORMAT_VERSION:
-        raise ValueError(f"unsupported mlp format_version {doc.get('format_version')}")
-    s = doc["spec"]
-    spec = MlpSpec(s["input_dim"], s["output_dim"], tuple(s["hidden"]))
-    if len(doc["layers"]) != len(spec.layer_dims):
-        raise ValueError(f"mlp has {len(doc['layers'])} layers for a spec of "
-                         f"{len(spec.layer_dims)}")
-    params = MlpParams(spec, tuple(
-        np.vstack([json_numbers(layer["weight"], "mlp weight").reshape(din, dout),
-                   json_numbers(layer["bias"], "mlp bias").reshape(1, dout)])
-        for (din, dout), layer in zip(spec.layer_dims, doc["layers"])))
-    if not all(np.isfinite(a).all() for a in params.arrays()):
-        raise ValueError("mlp weights and biases must be finite")
-    return params

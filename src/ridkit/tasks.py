@@ -92,6 +92,10 @@ class Dataset:
     def __post_init__(self):
         if self.x.ndim != 2 or self.y.ndim != 2 or self.x.shape[0] != self.y.shape[0]:
             raise ValueError("x and y must be 2-D with equal row counts")
+        widths, want = (self.x.shape[1], self.y.shape[1]), (self.task.d_x, self.task.d_y)
+        if widths != want:
+            raise ValueError(f"task {self.task.name} has d_x {want[0]} and d_y {want[1]}, but "
+                             f"the rows hold {widths[0]} x and {widths[1]} y values")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise ValueError("dataset entries must be finite")
 

@@ -24,7 +24,6 @@ from ridkit.fileio import (
     write_dataset,
 )
 from ridkit.flow import build_flow, flow_sample, flow_to_jsonable
-from ridkit.neural import MlpSpec, init_mlp, mlp_to_jsonable
 from ridkit.seeding import derive_seed
 from ridkit.tasks import Dataset, NoiseSpec, generate_dataset, make_task
 
@@ -236,7 +235,7 @@ def test_model_names_its_training_inputs_by_sha256(dataset_dir, tmp_path):
                "--out", tmp_path / "w") == 0
     assert run("train", *train, "--out", tmp_path / "u") == 0
     weighted, unweighted = (read_json(tmp_path / d / MODEL_FILE) for d in ("w", "u"))
-    assert weighted["format_version"] == unweighted["format_version"] == 2
+    assert weighted["format_version"] == unweighted["format_version"] == 3
     assert weighted["dataset_sha256"] == sha256_of(dataset_dir / DATASET_FILE)
     assert unweighted["dataset_sha256"] == weighted["dataset_sha256"]
     assert weighted["weights_sha256"] == sha256_of(dataset_dir / WEIGHTS_FILE)
@@ -258,6 +257,32 @@ def test_weights_that_are_not_json_numbers_are_data_error_naming_the_file(datase
     assert capsys.readouterr().err == (
         f"data error: malformed weights file {wfile}: 'weights' must hold JSON numbers "
         "only, not a str\n")
+
+
+def test_model_row_of_the_wrong_length_is_data_error_naming_it(model_file, dataset_dir,
+                                                                tmp_path, capsys):
+    doc = read_json(model_file)
+    doc["x_shift"].append(0.0)
+    bad = tmp_path / "long_shift.json"
+    bad.write_text(json.dumps(doc))
+    assert run("sample", "--model", bad, "--targets", dataset_dir, "--out", tmp_path / "o") == 3
+    assert capsys.readouterr().err == (
+        "data error: coupling-flow x_shift has 3 entries, not 2\n")
+    assert not (tmp_path / "o" / SAMPLES_FILE).exists()
+
+
+def test_dataset_rows_that_do_not_fit_its_task_are_data_error(dataset_dir, tmp_path, capsys):
+    # radian rows, 2 x and 1 y values each, under a kinematics meta file
+    meta = read_json(dataset_dir / DATASET_META_FILE)
+    meta["task"] = asdict(make_task("kinematics"))
+    (dataset_dir / DATASET_META_FILE).write_text(json.dumps(meta))
+    out = tmp_path / "o"
+    assert run("weights", "--dataset", dataset_dir, "--k", "2", "--epochs", "1",
+               "--out", out) == 3
+    assert capsys.readouterr().err == (
+        "data error: task kinematics has d_x 4 and d_y 2, but the rows hold 2 x and 1 y "
+        "values\n")
+    assert not (out / WEIGHTS_FILE).exists()
 
 
 def test_missing_dataset_is_data_error(tmp_path):
@@ -426,7 +451,7 @@ def _eval_with_non_model(tmp_path, model_file, data, out):
 
 def _model_missing_field(tmp_path, model_file, data, out):
     doc = read_json(model_file)
-    del doc["subnets"][0]["t"]["layers"]
+    del doc["subnets"][0]["t"]
     bad = tmp_path / "bad_model.json"
     bad.write_text(json.dumps(doc))
     return ("eval", "--model", model_file, "--baseline", bad, "--task", "radian",
@@ -443,7 +468,7 @@ def _model_without_blocks(tmp_path, model_file, data, out):
 
 def _model_nan_weight(tmp_path, model_file, data, out):
     doc = read_json(model_file)
-    doc["subnets"][0]["s"]["layers"][0]["weight"][0] = float("nan")
+    doc["subnets"][0]["s"][0][0] = float("nan")
     bad = tmp_path / "nan_weight.json"
     bad.write_text(json.dumps(doc))
     return ("sample", "--model", bad, "--targets", data, "--out", out)
@@ -466,22 +491,23 @@ def _model_extra_subnet(tmp_path, model_file, data, out):
     return ("sample", "--model", bad, "--targets", data, "--out", out)
 
 
-def _model_mlp_version_one(tmp_path, model_file, data, out):
-    # subnets of MLP format 1 named an activation; version 2 has none
-    doc = read_json(model_file)
-    doc["subnets"][0]["s"]["format_version"] = 1
-    doc["subnets"][0]["s"]["spec"]["activation"] = "tanh"
-    bad = tmp_path / "mlp_version_one.json"
-    bad.write_text(json.dumps(doc))
-    return ("sample", "--model", bad, "--targets", data, "--out", out)
-
-
 def _model_version_one(tmp_path, model_file, data, out):
     # flow format 1 did not name the model's training inputs
     doc = read_json(model_file)
     del doc["dataset_sha256"], doc["weights_sha256"]
     doc["format_version"] = 1
     bad = tmp_path / "version_one.json"
+    bad.write_text(json.dumps(doc))
+    return ("sample", "--model", bad, "--targets", data, "--out", out)
+
+
+def _model_version_two(tmp_path, model_file, data, out):
+    # flow format 2 had no top-level hidden widths: each subnet was an MLP
+    # document with widths of its own
+    doc = read_json(model_file)
+    del doc["hidden"]
+    doc["format_version"] = 2
+    bad = tmp_path / "version_two.json"
     bad.write_text(json.dumps(doc))
     return ("sample", "--model", bad, "--targets", data, "--out", out)
 
@@ -495,11 +521,11 @@ def _model_uppercase_hash(tmp_path, model_file, data, out):
 
 
 def _model_narrow_subnet(tmp_path, model_file, data, out):
-    # block 0's subnets give one value for its two active coordinates, which
-    # would broadcast into both
+    # block 0's output layers give one value for its two active coordinates,
+    # which would broadcast into both: 9 entries where (8 + 1, 2) needs 18
     doc = flow_to_jsonable(build_flow(4, 1, n_blocks=2, hidden=(8,), seed=0), "0" * 64, None)
-    narrow = mlp_to_jsonable(init_mlp(MlpSpec(3, 1, (8,)), np.random.default_rng(0)))
-    doc["subnets"][0] = {"s": narrow, "t": narrow}
+    for name in ("s", "t"):
+        doc["subnets"][0][name][-1] = [0.0] * 9
     bad = tmp_path / "narrow_subnet.json"
     bad.write_text(json.dumps(doc))
     return ("sample", "--model", bad, "--targets", data, "--out", out)
@@ -536,7 +562,7 @@ def _weights_not_a_list(tmp_path, model_file, data, out):
 def _model_extra_layer(tmp_path, model_file, data, out):
     # one more layer than the subnet's spec has: loading must not drop it
     doc = read_json(model_file)
-    layers = doc["subnets"][0]["s"]["layers"]
+    layers = doc["subnets"][0]["s"]
     layers.append(layers[-1])
     bad = tmp_path / "extra_layer.json"
     bad.write_text(json.dumps(doc))
@@ -546,13 +572,13 @@ def _model_extra_layer(tmp_path, model_file, data, out):
 @pytest.mark.parametrize("make_argv", [
     _non_finite_target, _meta_without_task, _sample_with_non_model, _eval_with_non_model,
     _model_missing_field, _model_without_blocks, _model_nan_weight, _model_zero_scale,
-    _model_extra_subnet, _model_extra_layer, _model_mlp_version_one, _weights_version_two,
-    _model_narrow_subnet, _weights_not_a_list, _model_version_one, _model_uppercase_hash,
+    _model_extra_subnet, _model_extra_layer, _weights_version_two, _model_narrow_subnet,
+    _weights_not_a_list, _model_version_one, _model_version_two, _model_uppercase_hash,
 ], ids=["sample-nan-target", "train-meta-without-task", "sample-non-model",
         "eval-non-model", "eval-baseline-missing-field", "sample-model-without-blocks",
         "sample-model-nan-weight", "eval-model-zero-scale", "sample-model-extra-subnet",
-        "sample-model-extra-layer", "sample-model-mlp-version-one", "train-weights-version-two",
-        "sample-model-narrow-subnet", "train-weights-not-a-list", "sample-model-version-one",
+        "sample-model-extra-layer", "train-weights-version-two", "sample-model-narrow-subnet",
+        "train-weights-not-a-list", "sample-model-version-one", "sample-model-version-two",
         "eval-model-uppercase-hash"])
 def test_malformed_input_is_data_error(model_file, dataset_dir, tmp_path, capsys, make_argv):
     out = tmp_path / "o"

@@ -140,11 +140,11 @@ def test_dataset_rows_are_laid_out_as_json_dumps(tmp_path):
 
 
 def test_dataset_writer_streams_rows(tmp_path):
-    # pipeline-large's shape: 16,000 rows of 5 values, which as one list of
-    # Python floats would take ~4 MB
+    # pipeline-large's shape: 16,000 ballistics rows of 5 values, which as
+    # one list of Python floats would take ~4 MB
     rng = np.random.default_rng(5)
     dataset = replace(_edge_dataset(), x=rng.standard_normal((16_000, 4)),
-                      y=rng.standard_normal((16_000, 1)))
+                      y=rng.standard_normal((16_000, 1)), task=make_task("ballistics"))
     tracemalloc.start()
     try:
         write_dataset(tmp_path, dataset)

@@ -440,6 +440,9 @@ def test_flow_serialization_round_trip():
         y_scale=np.array([[2.0, 0.4]]),
     )
     back = flow_from_jsonable(flow_to_jsonable(model, "0" * 64, None))
+    # bitwise: every subnet array, as shaped and typed, has the same bytes
+    assert [(a.shape, a.dtype, a.tobytes()) for a in back.arrays()] == [
+        (a.shape, a.dtype, a.tobytes()) for a in model.arrays()]
     rng = np.random.default_rng(19)
     x = rng.standard_normal((20, 3))
     y = rng.standard_normal((20, 2))
@@ -450,12 +453,17 @@ def test_flow_serialization_round_trip():
 
 
 def _string_weight(subnets):
-    subnets[0]["s"]["layers"][0]["weight"][0] = "0.5"
+    subnets[0]["s"][0][0] = "0.5"
     return subnets
 
 
 def _true_bias(subnets):
-    subnets[1]["t"]["layers"][-1]["bias"][0] = True
+    subnets[1]["t"][-1][-1] = True
+    return subnets
+
+
+def _short_layer(subnets):
+    subnets[0]["t"][1].pop()
     return subnets
 
 
@@ -474,8 +482,14 @@ def _true_bias(subnets):
     ("clamp", "2.0", "clamp must hold JSON numbers only, not a str"),
     ("clamp", True, "clamp must hold JSON numbers only, not a bool"),
     ("x_scale", ["1", "1"], "x_scale must hold JSON numbers only, not a str"),
-    ("subnets", _string_weight, "mlp weight must hold JSON numbers only, not a str"),
-    ("subnets", _true_bias, "mlp bias must hold JSON numbers only, not a bool"),
+    ("subnets", _string_weight, "block 0 s layer 0 must hold JSON numbers only, not a str"),
+    ("subnets", _true_bias, "block 1 t layer 1 must hold JSON numbers only, not a bool"),
+    ("hidden", [3.0], "hidden entry 3.0 is not an integer"),
+    ("hidden", [True], "hidden entry True is not an integer"),
+    ("hidden", [0], "hidden entry 0 is below 1"),
+    ("hidden", "64", "hidden '64' is not a list"),
+    ("y_scale", [1.0, 1.0], "y_scale has 2 entries, not 1"),
+    ("subnets", _short_layer, "block 0 t layer 1 has 4 entries, not 5"),
 ])
 def test_flow_from_jsonable_rejects_invalid_numbers_and_masks(key, value, match):
     doc = flow_to_jsonable(build_flow(2, 1, n_blocks=2, hidden=(4,), seed=0), "0" * 64, None)
@@ -517,7 +531,10 @@ def _narrow_subnets(blk):
     (lambda blk: replace(blk, passive=(1,)), "not a set of coordinates with passive"),
     (lambda blk: replace(blk, active=(), passive=(0, 1, 2, 3)),
      "a coupling block must transform at least one coordinate"),
-], ids=["narrow-subnets", "t-input-too-narrow", "passive-misses-a-coordinate", "empty-mask"])
+    (lambda blk: replace(blk, t_params=init_mlp(MlpSpec(3, 2, (5,)), np.random.default_rng(0))),
+     r"block 0: t subnet has hidden widths \[5\], not the \[4\] of block 0's s subnet"),
+], ids=["narrow-subnets", "t-input-too-narrow", "passive-misses-a-coordinate", "empty-mask",
+        "hidden-widths-differ"])
 def test_flow_model_rejects_a_layout_its_passes_cannot_run(edit, match):
     model = build_flow(4, 1, n_blocks=2, hidden=(4,), seed=0)
     blocks = (edit(model.blocks[0]), *model.blocks[1:])

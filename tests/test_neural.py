@@ -11,8 +11,6 @@ from ridkit.neural import (
     TrainingError,
     init_mlp,
     mlp_forward,
-    mlp_from_jsonable,
-    mlp_to_jsonable,
     train_regressor,
     value_and_gradients,
     with_bias_column,
@@ -255,21 +253,6 @@ def test_mlp_spec_validation():
         MlpSpec(0, 1)
     with pytest.raises(ValueError):
         MlpSpec(1, 1, (4, 0))
-
-
-def test_mlp_serialization_round_trip():
-    rng = np.random.default_rng(9)
-    params = _with_random_biases(init_mlp(MlpSpec(3, 2, (5, 4)), rng), rng)
-    doc = mlp_to_jsonable(params)
-    assert doc["spec"] == {"input_dim": 3, "output_dim": 2, "hidden": [5, 4]}
-    # the file keeps separate weight and bias lists
-    assert doc["layers"][0]["weight"] == params.layers[0][:-1].ravel().tolist()
-    assert doc["layers"][0]["bias"] == params.layers[0][-1].tolist()
-    back = mlp_from_jsonable(doc)
-    assert back.spec == params.spec
-    for w1, w2 in zip(params.layers, back.layers, strict=True):
-        np.testing.assert_array_equal(w1, w2)
-    assert doc["format_version"] == 2
 
 
 def _reference_adam(p, g, m, v, t, lr, beta1, beta2, eps, weight_decay):
