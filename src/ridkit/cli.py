@@ -189,6 +189,19 @@ def _pipeline_defaults() -> dict:
     return {**defaults, "hidden": list(defaults["hidden"])}
 
 
+def _read_model(args, flag: str, task=None):
+    """The model in the file given as --flag, checked against the task's
+    dims when given one; any error names the flag and the file."""
+    path = Path(getattr(args, flag))
+    try:
+        model = flow_from_jsonable(read_json(path))
+        if task is not None and (model.d_x, model.d_y) != (task.d_x, task.d_y):
+            raise ValueError(f"d_x={model.d_x}, d_y={model.d_y} do not fit task {task.name}")
+    except (DataError, ValueError, OSError) as exc:
+        raise DataError(f"--{flag} {path}: {exc}") from exc
+    return model
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -270,7 +283,7 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     out = _out_dir(args)
-    model = flow_from_jsonable(read_json(Path(args.model)))
+    model = _read_model(args, "model")
     targets = read_targets(Path(args.targets), model.d_y)
     k = args.samples_per_target
     samples = flow_sample(model, targets, k, derive_seed(args.seed, "sample"))
@@ -296,7 +309,7 @@ def cmd_eval(args) -> int:
     task = make_task(args.task)
     noise = _noise_spec(args)
     cfg = _eval_config(args, derive_seed(args.seed, "eval"))
-    model = flow_from_jsonable(read_json(Path(args.model)))
+    model = _read_model(args, "model", task)
     targets = generate_dataset(task, noise, cfg.n_targets, derive_seed(args.seed, "targets")).y
     t0 = time.perf_counter()
     losses = resimulation_error(model, task, noise, targets, cfg)
@@ -317,7 +330,7 @@ def cmd_eval(args) -> int:
     }
     inputs = {"model_sha256": sha256_of(Path(args.model))}
     if args.baseline is not None:
-        base_model = flow_from_jsonable(read_json(Path(args.baseline)))
+        base_model = _read_model(args, "baseline", task)
         base = resimulation_error(base_model, task, noise, targets, cfg)
         _check_finite(base, "baseline re-simulation loss")
         t, p = welch_t_test(losses, base)

@@ -215,7 +215,7 @@ def read_dataset(path: Path) -> Dataset:
     meta = read_json(meta_path)
     version = meta.get("format_version") if isinstance(meta, dict) else None
     if version != DATASET_FORMAT_VERSION:
-        raise DataError(f"unsupported dataset format_version {version}")
+        raise DataError(f"{meta_path}: unsupported dataset format_version {version}")
     try:
         task = make_task(meta["task"]["name"])
         nz = meta["noise"]
@@ -247,7 +247,7 @@ def read_targets(path: Path, d_y: int) -> np.ndarray:
     if targets.ndim == 1:
         targets = targets.reshape(-1, 1)
     if targets.shape[1] != d_y:
-        raise DataError(f"targets have {targets.shape[1]} response dims, expected {d_y}")
+        raise DataError(f"{data_path}: targets have {targets.shape[1]} response dims, not {d_y}")
     if not np.isfinite(targets).all():
         raise DataError(f"{data_path}: targets must be finite")
     return targets
@@ -295,7 +295,7 @@ def read_weights(path: Path) -> tuple[np.ndarray, str]:
     doc = read_json(Path(path))
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != WEIGHTS_FORMAT_VERSION:
-        raise DataError(f"unsupported weights format_version {version}")
+        raise DataError(f"{path}: unsupported weights format_version {version}")
     try:
         w = json_numbers(doc["weights"], "'weights'")
         dataset_sha256 = doc["dataset_sha256"]

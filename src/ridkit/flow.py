@@ -10,7 +10,6 @@ log-likelihood, which is how non-robust samples get suppressed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -44,8 +43,8 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# flow_forward rows per tile: a 64-wide layer output of this many rows is
-# 256 KiB in float32 (sampling) and 512 KiB in float64, which stays in L2
+# flow_forward rows per tile: a stacked s and t layer output of this many
+# rows, 2 x 1,024 x (64 + 1) values, is 520 KiB in float32 (sampling)
 _TILE_ROWS = 1024
 
 
@@ -54,14 +53,14 @@ class CouplingBlock:
     """One conditional affine coupling layer.
 
     `passive` coordinates pass through unchanged and, together with the
-    condition, drive the scale/shift subnets applied to the `active`
-    coordinates.
+    condition, drive the scale subnet s and shift subnet t applied to the
+    `active` coordinates. `subnets` holds both as one stack of MLPs, every
+    layer a (2, din + 1, dout) array with s at index 0 and t at 1.
     """
 
     active: tuple[int, ...]
     passive: tuple[int, ...]
-    s_params: MlpParams
-    t_params: MlpParams
+    subnets: MlpParams
 
 
 def _check_split(active: tuple[int, ...], passive: tuple[int, ...], d_x: int) -> None:
@@ -78,10 +77,10 @@ def _check_split(active: tuple[int, ...], passive: tuple[int, ...], d_x: int) ->
 class FlowModel:
     """Coupling blocks over d_x coordinates conditioned on d_y. Each block
     splits 0..d_x-1 into a non-empty active set and its passive complement,
-    and its subnets map [passive, y] to one value per active coordinate
-    through block 0's hidden widths; construction checks all three. Every
-    block saturates its raw scale to clamp*(2/pi)*atan(raw), so each
-    effective log-scale stays strictly inside (-clamp, clamp)."""
+    and its stacked s and t subnets map [passive, y] to one value per
+    active coordinate through block 0's hidden widths; construction checks
+    all this. Every block saturates its raw scale to clamp*(2/pi)*atan(raw),
+    so each effective log-scale stays strictly inside (-clamp, clamp)."""
 
     d_x: int
     d_y: int
@@ -103,37 +102,30 @@ class FlowModel:
         for p in self.perms:
             if sorted(p) != list(range(self.d_x)):
                 raise ValueError(f"{p} is not a permutation of 0..{self.d_x - 1}")
-        hidden = self.blocks[0].s_params.spec.hidden
+        hidden = list(self.blocks[0].subnets.spec.hidden)
+        layout = "a stack {} of {} -> {} -> {} MLPs"
         for li, blk in enumerate(self.blocks):
             _check_split(blk.active, blk.passive, self.d_x)
-            want = (len(blk.passive) + self.d_y, len(blk.active))
-            for name, params in (("s", blk.s_params), ("t", blk.t_params)):
-                got = (params.spec.input_dim, params.spec.output_dim)
-                if got != want:
-                    raise ValueError(f"block {li}: {name} subnet maps {got[0]} -> {got[1]} "
-                                     f"values, not {want[0]} -> {want[1]}")
-                if params.spec.hidden != hidden:
-                    raise ValueError(f"block {li}: {name} subnet has hidden widths "
-                                     f"{list(params.spec.hidden)}, not the {list(hidden)} of "
-                                     "block 0's s subnet")
+            spec = blk.subnets.spec
+            got = (blk.subnets.layers[0].shape[:-2], spec.input_dim, list(spec.hidden),
+                   spec.output_dim)
+            want = ((2,), len(blk.passive) + self.d_y, hidden, len(blk.active))
+            if got != want:
+                raise ValueError(f"block {li}: subnets are {layout.format(*got)}, "
+                                 f"not {layout.format(*want)}")
 
     def arrays(self) -> list[np.ndarray]:
-        """The subnet arrays in training order: each block's s arrays, then
-        its t arrays (see MlpParams.arrays)."""
-        return [a for blk in self.blocks
-                for params in (blk.s_params, blk.t_params) for a in params.arrays()]
+        """The subnet arrays in training order: each block's stacked layers,
+        one (2, din + 1, dout) array per layer holding s and then t."""
+        return [a for blk in self.blocks for a in blk.subnets.arrays()]
 
     def with_arrays(self, arrays: Sequence[np.ndarray]) -> FlowModel:
         """Inverse of arrays(): the same flow, standardization included,
         over the given subnet arrays."""
-        rest = iter(arrays)
-
-        def take(params: MlpParams) -> MlpParams:
-            return params.with_arrays(list(itertools.islice(rest, len(params.layers))))
-
+        n = len(self.blocks[0].subnets.layers)  # per block: all have block 0's widths
         return replace(self, blocks=tuple(
-            replace(blk, s_params=take(blk.s_params), t_params=take(blk.t_params))
-            for blk in self.blocks))
+            replace(blk, subnets=blk.subnets.with_arrays(arrays[li * n:(li + 1) * n]))
+            for li, blk in enumerate(self.blocks)))
 
 
 def _checkerboard(d_x: int, parity: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -163,14 +155,9 @@ def build_flow(
     for li in range(n_blocks):
         active, passive = _checkerboard(d_x, li)
         sub_spec = MlpSpec(len(passive) + d_y, len(active), tuple(hidden))
-        blocks.append(
-            CouplingBlock(
-                active=active,
-                passive=passive,
-                s_params=init_mlp(sub_spec, rng, zero_final=True),
-                t_params=init_mlp(sub_spec, rng, zero_final=True),
-            )
-        )
+        s, t = (init_mlp(sub_spec, rng, zero_final=True) for _ in "st")  # s drawn first
+        blocks.append(CouplingBlock(active, passive, MlpParams(
+            sub_spec, tuple(map(np.stack, zip(s.layers, t.layers))))))
         perm = tuple(int(i) for i in rng.permutation(d_x)) if li > 0 else tuple(range(d_x))
         perms.append(perm)
     ones = np.ones((1, d_x))
@@ -202,8 +189,7 @@ def _coupling_forward(
     """Applies the block to rows in the subnet dtype, with cond1 the
     condition followed by the constant column (see with_bias_column);
     returns (v, per-row log-det column)."""
-    h = _subnet_input(block, u, cond1)
-    s_raw, t = mlp_forward(block.s_params, h), mlp_forward(block.t_params, h)
+    s_raw, t = mlp_forward(block.subnets, _subnet_input(block, u, cond1))
     out, s_eff = backend.coupling_fwd(u[:, list(block.active)], s_raw, t, clamp)
     v = u.copy()
     v[:, list(block.active)] = out
@@ -219,14 +205,11 @@ def _coupling_inverse_step(
     (u, per-row log-det column of the forward map).
 
     With a list for `record`, fills it with what _coupling_inverse_backward
-    reads, reusing the subnet tapes of an earlier fill (see mlp_forward).
+    reads, reusing the subnet tape of an earlier fill (see mlp_forward).
     """
     h = _subnet_input(block, v, cond1)
-    s_tape = t_tape = None
-    if record is not None:
-        s_tape, t_tape = (record[1], record[2]) if record else ([], [])
-    s_raw = mlp_forward(block.s_params, h, s_tape)
-    t = mlp_forward(block.t_params, h, t_tape)
+    tape = None if record is None else record[1] if record else []
+    s_raw, t = mlp_forward(block.subnets, h, tape)
     s_eff = backend.softclamp(s_raw, clamp)
     e = np.exp(-s_eff)
     active = list(block.active)
@@ -234,28 +217,28 @@ def _coupling_inverse_step(
     u = v.copy()
     u[:, active] = diff * e
     if record is not None:
-        record[:] = (h, s_tape, t_tape, s_raw, diff, e)
+        record[:] = (h, tape, s_raw, diff, e)
     return u, s_eff.sum(axis=1, keepdims=True)
 
 
 def _coupling_inverse_backward(block: CouplingBlock, clamp: float, record, g_u: np.ndarray,
                                g_ld: np.ndarray, grads: CouplingBlock) -> np.ndarray:
     """Reverse pass of one _coupling_inverse_step for the adjoints of u and of
-    the log-det column; writes the subnet gradients into the s_params and
-    t_params arrays of `grads` and returns the adjoint of v."""
-    h, s_tape, t_tape, s_raw, diff, e = record
+    the log-det column; writes the subnet gradients into `grads` from one
+    reverse pass over the stacked adjoints of s_raw and t, and returns the
+    adjoint of v."""
+    h, tape, s_raw, diff, e = record
     active, passive = list(block.active), list(block.passive)
     g_ua = g_u[:, active]
     g_diff = g_ua * e
     # exp(-s_eff) feeds back its own value; the log-det sums s_eff per row
     g_s_eff = g_ld + (g_ua * diff * e) * -1.0
     g_s_raw = g_s_eff * (clamp * (2.0 / math.pi)) / (1.0 + s_raw * s_raw)
-    d_t = _mlp_backward(block.t_params, h, t_tape, g_diff * -1.0, grads.t_params)
-    d_s = _mlp_backward(block.s_params, h, s_tape, g_s_raw, grads.s_params)
-    g_h = d_t @ block.t_params.layers[0][:-1].T + d_s @ block.s_params.layers[0][:-1].T
+    d = _mlp_backward(block.subnets, h, tape, np.stack([g_s_raw, g_diff * -1.0]), grads.subnets)
+    g_h = d @ block.subnets.layers[0][..., :-1, :].swapaxes(-1, -2)
     g_v = np.empty_like(g_u)
     g_v[:, active] = g_diff
-    g_v[:, passive] = g_u[:, passive] + g_h[:, :len(passive)]
+    g_v[:, passive] = g_u[:, passive] + (g_h[1] + g_h[0])[:, :len(passive)]
     return g_v
 
 
@@ -274,7 +257,7 @@ def flow_forward(
     y = np.asarray(y, dtype=np.float64)
     if z.shape[0] != y.shape[0]:
         raise ValueError("z and y need equal row counts")
-    dtype = model.blocks[0].s_params.layers[0].dtype
+    dtype = model.blocks[0].subnets.layers[0].dtype
     n = z.shape[0]
     x = np.empty((n, model.d_x))
     logdet = np.empty((n, 1))
@@ -332,7 +315,7 @@ def _to_latent(model: FlowModel, x: np.ndarray, y: np.ndarray,
     `tape`, its k-th entry becomes the record of the k-th block inverted
     (block n-1-k); entries from an earlier call are reused.
     """
-    dtype = model.blocks[0].s_params.layers[0].dtype
+    dtype = model.blocks[0].subnets.layers[0].dtype
     xs = _standardized(x, model.x_shift, model.x_scale, dtype)
     ys1 = with_bias_column(_standardized(y, model.y_shift, model.y_scale, dtype), dtype)
     cur, log_det = xs, None
@@ -492,18 +475,15 @@ def flow_to_jsonable(model: FlowModel, dataset_sha256: str, weights_sha256: str 
         "d_x": model.d_x,
         "d_y": model.d_y,
         "clamp": model.clamp,
-        "hidden": list(model.blocks[0].s_params.spec.hidden),
+        "hidden": list(model.blocks[0].subnets.spec.hidden),
         "masks": [list(blk.active) for blk in model.blocks],
         "permutations": [list(p) for p in model.perms],
         "x_shift": model.x_shift.ravel().tolist(),
         "x_scale": model.x_scale.ravel().tolist(),
         "y_shift": model.y_shift.ravel().tolist(),
         "y_scale": model.y_scale.ravel().tolist(),
-        "subnets": [
-            {name: [a.ravel().tolist() for a in params.layers]
-             for name, params in (("s", blk.s_params), ("t", blk.t_params))}
-            for blk in model.blocks
-        ],
+        "subnets": [{name: [a[i].ravel().tolist() for a in blk.subnets.layers]
+                     for i, name in enumerate("st")} for blk in model.blocks],
     }
 
 
@@ -565,14 +545,13 @@ def flow_from_jsonable(doc: dict) -> FlowModel:
             raise ValueError(f"coupling-flow has {len(doc['masks'])} masks for "
                              f"{len(doc['subnets'])} subnets")
 
-        def subnet(li: int, name: str, spec: MlpSpec) -> MlpParams:
+        def subnet(li: int, name: str, spec: MlpSpec) -> list[np.ndarray]:
             layers = doc["subnets"][li][name]
             if len(layers) != len(spec.layer_dims):
                 raise ValueError(f"coupling-flow block {li} {name} subnet has {len(layers)} "
                                  f"layers, not {len(spec.layer_dims)}")
-            return MlpParams(spec, tuple(
-                _floats(flat, (din + 1, dout), f"block {li} {name} layer {i}")
-                for i, ((din, dout), flat) in enumerate(zip(spec.layer_dims, layers))))
+            return [_floats(flat, (din + 1, dout), f"block {li} {name} layer {i}")
+                    for i, ((din, dout), flat) in enumerate(zip(spec.layer_dims, layers))]
 
         blocks = []
         for li, mask in enumerate(doc["masks"]):
@@ -580,8 +559,8 @@ def flow_from_jsonable(doc: dict) -> FlowModel:
             passive = tuple(i for i in range(d_x) if i not in active)
             _check_split(active, passive, d_x)  # the subnet widths follow from it
             spec = MlpSpec(len(passive) + d_y, len(active), hidden)
-            blocks.append(CouplingBlock(active, passive, subnet(li, "s", spec),
-                                        subnet(li, "t", spec)))
+            stacked = map(np.stack, zip(*(subnet(li, name, spec) for name in "st")))
+            blocks.append(CouplingBlock(active, passive, MlpParams(spec, tuple(stacked))))
 
         def row(key, d):
             a = _floats(doc[key], (1, d), key)

@@ -60,7 +60,8 @@ class MlpSpec:
 class MlpParams:
     """The parameters of an MLP, one (din + 1, dout) array per layer: the
     weight matrix with the bias appended as its last row, so that a layer
-    is the one matmul [h, 1] @ [W; b]."""
+    is the one matmul [h, 1] @ [W; b]. Layers of shape (*stack, din + 1,
+    dout) hold a stack of MLPs of one spec, run as one (see mlp_forward)."""
 
     spec: MlpSpec
     layers: tuple[np.ndarray, ...]
@@ -69,9 +70,10 @@ class MlpParams:
         expect = self.spec.layer_dims
         if len(self.layers) != len(expect):
             raise ValueError("layer count does not match spec")
+        stack = self.layers[0].shape[:-2]
         for (din, dout), a in zip(expect, self.layers):
-            if a.shape != (din + 1, dout):
-                raise ValueError(f"layer shape {a.shape} is not ({din} + 1, {dout})")
+            if a.shape != (*stack, din + 1, dout):
+                raise ValueError(f"layer shape {a.shape} is not {(*stack, din + 1, dout)}")
 
     def arrays(self) -> list[np.ndarray]:
         """The parameter arrays in training order: one per layer."""
@@ -119,7 +121,9 @@ def mlp_forward(params: MlpParams, x_batch: np.ndarray, tape: list | None = None
     caller builds that column once for all the calls that share the rows.
     Each hidden layer writes its matmul into the first columns of an
     (n, dout + 1) array, takes tanh of the whole array and resets the last
-    column to 1, which makes the array the next layer's input.
+    column to 1, which makes the array the next layer's input. A stack of
+    MLPs runs on the x_batch its MLPs share, every output gaining the stack
+    axes in front; each slice is the BLAS call of its MLP run alone.
 
     With a list for `tape`, records every layer's output in it, the input of
     the reverse pass _mlp_backward. A layer output already in the list with
@@ -136,7 +140,7 @@ def mlp_forward(params: MlpParams, x_batch: np.ndarray, tape: list | None = None
     # one array per layer, fresh or the tape's own, updated in place: large
     # batches then reuse memory instead of faulting in new pages per temporary
     for li, a in enumerate(layers):
-        shape = (h.shape[0], a.shape[1] + (li != last))
+        shape = (*a.shape[:-2], x.shape[0], a.shape[-1] + (li != last))
         if tape is not None and li < len(tape) and tape[li].shape == shape:
             out = tape[li]
         else:
@@ -146,26 +150,28 @@ def mlp_forward(params: MlpParams, x_batch: np.ndarray, tape: list | None = None
         if li == last:
             np.matmul(h, a, out=out)
         else:
-            np.matmul(h, a, out=out[:, :-1])
+            np.matmul(h, a, out=out[..., :-1])
             np.tanh(out, out=out)
-            out[:, -1] = 1.0
+            out[..., -1] = 1.0
         h = out
     return h
 
 
 def _mlp_backward(params: MlpParams, x: np.ndarray, tape: Sequence[np.ndarray], g: np.ndarray,
                   grads: MlpParams) -> np.ndarray:
-    """Reverse pass of mlp_forward(params, x, tape) for the output adjoint g.
+    """Reverse pass of mlp_forward(params, x, tape) for the output adjoint g,
+    which has the stack axes of that output.
 
     Writes each layer's gradient into the matching array of `grads` (the
     bias row comes out of the same matmul as the weights, through the
     input's constant column) and returns d, the adjoint of the first
     layer's matmul output. A caller that needs the adjoint of x forms it as
-    d @ params.layers[0][:-1].T (the constant column has none); the
-    surrogate loss does not, so the pass does not compute it. A hidden
-    layer's adjoint keeps the constant column too, so the elementwise tanh
-    step runs over whole contiguous arrays; 1 - 1*1 zeroes that column
-    before the slice that drops it.
+    d @ params.layers[0][..., :-1, :].swapaxes(-1, -2), one per MLP of a
+    stack (the constant column has none); the surrogate loss does not, so
+    the pass does not compute it. A hidden layer's adjoint keeps the
+    constant column too, so the elementwise tanh step runs over whole
+    contiguous arrays; 1 - 1*1 zeroes that column before the slice that
+    drops it. The 2-D x a stack shares broadcasts in x.T @ d.
     """
     layers = params.layers
     last = len(layers) - 1
@@ -176,10 +182,10 @@ def _mlp_backward(params: MlpParams, x: np.ndarray, tape: Sequence[np.ndarray], 
             d = tape[li] * tape[li]
             np.subtract(1.0, d, out=d)
             d *= g
-            d = d[:, :-1]
-        np.matmul((tape[li - 1] if li else x).T, d, out=grads.layers[li])
+            d = d[..., :-1]
+        np.matmul((tape[li - 1] if li else x).swapaxes(-1, -2), d, out=grads.layers[li])
         if li:
-            g = d @ layers[li].T
+            g = d @ layers[li].swapaxes(-1, -2)
     return d
 
 

@@ -244,10 +244,10 @@ def test_reverse_pass_writes_every_gradient_array(case):
 
 
 def _subnet_tapes(tape):
-    """The MLP tapes in a tape: the tape itself, or the s and t subnet tapes
-    of each flow block record."""
+    """The MLP tapes in a tape: the tape itself, or the stacked s and t
+    subnet tape of each flow block record."""
     if tape and isinstance(tape[0], list):
-        return [t for record in tape for t in (record[1], record[2])]
+        return [record[1] for record in tape]
     return [tape]
 
 
@@ -279,7 +279,7 @@ def test_tape_reused_across_calls_matches_a_fresh_tape(kind):
             np.testing.assert_array_equal(a, b)
         for layer_outputs in _subnet_tapes(tape):
             for a in layer_outputs[:-1]:  # hidden layers end in the next layer's constant column
-                assert (a[:, -1] == 1.0).all()
+                assert (a[..., -1] == 1.0).all()
         kept.append(_tape_arrays(tape))
     assert all(a is b for a, b in zip(kept[0], kept[1], strict=True))  # same size: rewritten
     assert not any(a is b for a, b in zip(kept[1], kept[2], strict=True))

@@ -267,7 +267,7 @@ def test_model_row_of_the_wrong_length_is_data_error_naming_it(model_file, datas
     bad.write_text(json.dumps(doc))
     assert run("sample", "--model", bad, "--targets", dataset_dir, "--out", tmp_path / "o") == 3
     assert capsys.readouterr().err == (
-        "data error: coupling-flow x_shift has 3 entries, not 2\n")
+        f"data error: --model {bad}: coupling-flow x_shift has 3 entries, not 2\n")
     assert not (tmp_path / "o" / SAMPLES_FILE).exists()
 
 
@@ -429,24 +429,39 @@ def test_sample_meta_names_the_model_by_hash_not_path(model_file, dataset_dir, t
 def _non_finite_target(tmp_path, model_file, data, out):
     targets = tmp_path / "targets.jsonl"
     targets.write_text('{"y": [0.5]}\n{"y": [NaN]}\n')
-    return ("sample", "--model", model_file, "--targets", targets, "--out", out)
+    return ("sample", "--model", model_file, "--targets", targets, "--out", out), targets
+
+
+def _targets_of_another_width(tmp_path, model_file, data, out):
+    targets = tmp_path / "targets.jsonl"
+    targets.write_text('{"y": [0.5, 1.0]}\n')
+    return ("sample", "--model", model_file, "--targets", targets, "--out", out), targets
 
 
 def _meta_without_task(tmp_path, model_file, data, out):
     meta = read_json(data / DATASET_META_FILE)
     del meta["task"]
     (data / DATASET_META_FILE).write_text(json.dumps(meta))
-    return ("train", "--dataset", data, "--blocks", "2", "--hidden", "8", "--epochs", "1",
-            "--out", out)
+    return (("train", "--dataset", data, "--blocks", "2", "--hidden", "8", "--epochs", "1",
+             "--out", out), data / DATASET_META_FILE)
+
+
+def _dataset_version_seven(tmp_path, model_file, data, out):
+    meta = read_json(data / DATASET_META_FILE)
+    meta["format_version"] = 7
+    (data / DATASET_META_FILE).write_text(json.dumps(meta))
+    return (("weights", "--dataset", data, "--k", "2", "--epochs", "1", "--out", out),
+            data / DATASET_META_FILE)
 
 
 def _sample_with_non_model(tmp_path, model_file, data, out):
-    return ("sample", "--model", data / DATASET_META_FILE, "--targets", data, "--out", out)
+    return (("sample", "--model", data / DATASET_META_FILE, "--targets", data, "--out", out),
+            f"--model {data / DATASET_META_FILE}: ")
 
 
 def _eval_with_non_model(tmp_path, model_file, data, out):
-    return ("eval", "--model", data / DATASET_META_FILE, "--task", "radian",
-            "--n-targets", "4", "--out", out)
+    return (("eval", "--model", data / DATASET_META_FILE, "--task", "radian",
+             "--n-targets", "4", "--out", out), f"--model {data / DATASET_META_FILE}: ")
 
 
 def _model_missing_field(tmp_path, model_file, data, out):
@@ -454,8 +469,18 @@ def _model_missing_field(tmp_path, model_file, data, out):
     del doc["subnets"][0]["t"]
     bad = tmp_path / "bad_model.json"
     bad.write_text(json.dumps(doc))
-    return ("eval", "--model", model_file, "--baseline", bad, "--task", "radian",
-            "--n-targets", "4", "--out", out)
+    return (("eval", "--model", model_file, "--baseline", bad, "--task", "radian",
+             "--n-targets", "4", "--out", out), f"--baseline {bad}: ")
+
+
+def _baseline_for_another_task(tmp_path, model_file, data, out):
+    # a model of 3 design coordinates, where the radian task has 2
+    doc = flow_to_jsonable(build_flow(3, 1, n_blocks=2, hidden=(8,), seed=0), "0" * 64, None)
+    other = tmp_path / "other_task.json"
+    other.write_text(json.dumps(doc))
+    return (("eval", "--model", model_file, "--baseline", other, "--task", "radian",
+             "--n-targets", "4", "--out", out),
+            f"--baseline {other}: d_x=3, d_y=1 do not fit task radian")
 
 
 def _model_without_blocks(tmp_path, model_file, data, out):
@@ -463,7 +488,7 @@ def _model_without_blocks(tmp_path, model_file, data, out):
     doc.update(masks=[], subnets=[], permutations=[])
     bad = tmp_path / "no_blocks.json"
     bad.write_text(json.dumps(doc))
-    return ("sample", "--model", bad, "--targets", data, "--out", out)
+    return ("sample", "--model", bad, "--targets", data, "--out", out), f"--model {bad}: "
 
 
 def _model_nan_weight(tmp_path, model_file, data, out):
@@ -471,7 +496,7 @@ def _model_nan_weight(tmp_path, model_file, data, out):
     doc["subnets"][0]["s"][0][0] = float("nan")
     bad = tmp_path / "nan_weight.json"
     bad.write_text(json.dumps(doc))
-    return ("sample", "--model", bad, "--targets", data, "--out", out)
+    return ("sample", "--model", bad, "--targets", data, "--out", out), f"--model {bad}: "
 
 
 def _model_zero_scale(tmp_path, model_file, data, out):
@@ -479,7 +504,8 @@ def _model_zero_scale(tmp_path, model_file, data, out):
     doc["x_scale"][0] = 0.0
     bad = tmp_path / "zero_scale.json"
     bad.write_text(json.dumps(doc))
-    return ("eval", "--model", bad, "--task", "radian", "--n-targets", "4", "--out", out)
+    return (("eval", "--model", bad, "--task", "radian", "--n-targets", "4", "--out", out),
+            f"--model {bad}: ")
 
 
 def _model_extra_subnet(tmp_path, model_file, data, out):
@@ -488,7 +514,7 @@ def _model_extra_subnet(tmp_path, model_file, data, out):
     doc["subnets"].append(doc["subnets"][-1])
     bad = tmp_path / "extra_subnet.json"
     bad.write_text(json.dumps(doc))
-    return ("sample", "--model", bad, "--targets", data, "--out", out)
+    return ("sample", "--model", bad, "--targets", data, "--out", out), f"--model {bad}: "
 
 
 def _model_version_one(tmp_path, model_file, data, out):
@@ -498,7 +524,7 @@ def _model_version_one(tmp_path, model_file, data, out):
     doc["format_version"] = 1
     bad = tmp_path / "version_one.json"
     bad.write_text(json.dumps(doc))
-    return ("sample", "--model", bad, "--targets", data, "--out", out)
+    return ("sample", "--model", bad, "--targets", data, "--out", out), f"--model {bad}: "
 
 
 def _model_version_two(tmp_path, model_file, data, out):
@@ -509,7 +535,7 @@ def _model_version_two(tmp_path, model_file, data, out):
     doc["format_version"] = 2
     bad = tmp_path / "version_two.json"
     bad.write_text(json.dumps(doc))
-    return ("sample", "--model", bad, "--targets", data, "--out", out)
+    return ("sample", "--model", bad, "--targets", data, "--out", out), f"--model {bad}: "
 
 
 def _model_uppercase_hash(tmp_path, model_file, data, out):
@@ -517,7 +543,8 @@ def _model_uppercase_hash(tmp_path, model_file, data, out):
     doc["dataset_sha256"] = doc["dataset_sha256"].upper()
     bad = tmp_path / "uppercase_hash.json"
     bad.write_text(json.dumps(doc))
-    return ("eval", "--model", bad, "--task", "radian", "--n-targets", "4", "--out", out)
+    return (("eval", "--model", bad, "--task", "radian", "--n-targets", "4", "--out", out),
+            f"--model {bad}: ")
 
 
 def _model_narrow_subnet(tmp_path, model_file, data, out):
@@ -528,7 +555,7 @@ def _model_narrow_subnet(tmp_path, model_file, data, out):
         doc["subnets"][0][name][-1] = [0.0] * 9
     bad = tmp_path / "narrow_subnet.json"
     bad.write_text(json.dumps(doc))
-    return ("sample", "--model", bad, "--targets", data, "--out", out)
+    return ("sample", "--model", bad, "--targets", data, "--out", out), f"--model {bad}: "
 
 
 def _weights_version_two(tmp_path, model_file, data, out):
@@ -541,8 +568,8 @@ def _weights_version_two(tmp_path, model_file, data, out):
                    "surrogate_activation": "tanh", "epochs": 1, "batch_size": 8, "seed": 0},
         "weights": [1.0] * 120,
     }))
-    return ("train", "--dataset", data, "--weights", weights, "--blocks", "2", "--hidden", "8",
-            "--epochs", "1", "--out", out)
+    return (("train", "--dataset", data, "--weights", weights, "--blocks", "2", "--hidden", "8",
+             "--epochs", "1", "--out", out), weights)
 
 
 def _weights_not_a_list(tmp_path, model_file, data, out):
@@ -555,8 +582,8 @@ def _weights_not_a_list(tmp_path, model_file, data, out):
                    "seed": 0},
         "weights": 1.0,
     }))
-    return ("train", "--dataset", data, "--weights", weights, "--blocks", "2", "--hidden", "8",
-            "--epochs", "1", "--out", out)
+    return (("train", "--dataset", data, "--weights", weights, "--blocks", "2", "--hidden", "8",
+             "--epochs", "1", "--out", out), weights)
 
 
 def _model_extra_layer(tmp_path, model_file, data, out):
@@ -566,7 +593,7 @@ def _model_extra_layer(tmp_path, model_file, data, out):
     layers.append(layers[-1])
     bad = tmp_path / "extra_layer.json"
     bad.write_text(json.dumps(doc))
-    return ("sample", "--model", bad, "--targets", data, "--out", out)
+    return ("sample", "--model", bad, "--targets", data, "--out", out), f"--model {bad}: "
 
 
 @pytest.mark.parametrize("make_argv", [
@@ -574,16 +601,22 @@ def _model_extra_layer(tmp_path, model_file, data, out):
     _model_missing_field, _model_without_blocks, _model_nan_weight, _model_zero_scale,
     _model_extra_subnet, _model_extra_layer, _weights_version_two, _model_narrow_subnet,
     _weights_not_a_list, _model_version_one, _model_version_two, _model_uppercase_hash,
+    _targets_of_another_width, _dataset_version_seven, _baseline_for_another_task,
 ], ids=["sample-nan-target", "train-meta-without-task", "sample-non-model",
         "eval-non-model", "eval-baseline-missing-field", "sample-model-without-blocks",
         "sample-model-nan-weight", "eval-model-zero-scale", "sample-model-extra-subnet",
         "sample-model-extra-layer", "train-weights-version-two", "sample-model-narrow-subnet",
         "train-weights-not-a-list", "sample-model-version-one", "sample-model-version-two",
-        "eval-model-uppercase-hash"])
+        "eval-model-uppercase-hash", "sample-targets-of-another-width",
+        "weights-dataset-version-seven", "eval-baseline-for-another-task"])
 def test_malformed_input_is_data_error(model_file, dataset_dir, tmp_path, capsys, make_argv):
+    # the error names the file at fault, and a model file the flag that gave it
     out = tmp_path / "o"
-    assert run(*make_argv(tmp_path, model_file, dataset_dir, out)) == 3
-    assert capsys.readouterr().err.startswith("data error: ")
+    argv, named = make_argv(tmp_path, model_file, dataset_dir, out)
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert str(named) in err
     assert not (out / SAMPLES_FILE).exists()
 
 

@@ -18,7 +18,7 @@ from ridkit.fileio import (
     write_samples,
 )
 from ridkit.flow import build_flow, flow_from_jsonable, flow_sample, flow_to_jsonable
-from ridkit.neural import init_mlp
+from ridkit.neural import MlpParams, init_mlp
 from ridkit.seeding import derive_seed
 from ridkit.tasks import Dataset, NoiseSpec, make_task
 
@@ -35,10 +35,13 @@ def _rows(path):
 def model_file(tmp_path):
     model = build_flow(4, 2, n_blocks=3, hidden=(16,), seed=1)
     rng = np.random.default_rng(2)
+
+    def random_subnets(spec):  # s, then t
+        s, t = init_mlp(spec, rng), init_mlp(spec, rng)
+        return MlpParams(spec, tuple(map(np.stack, zip(s.layers, t.layers))))
+
     model = replace(model, blocks=tuple(
-        replace(b, s_params=init_mlp(b.s_params.spec, rng),
-                t_params=init_mlp(b.t_params.spec, rng))
-        for b in model.blocks))
+        replace(b, subnets=random_subnets(b.subnets.spec)) for b in model.blocks))
     path = tmp_path / "model.json"
     path.write_text(json.dumps(flow_to_jsonable(model, "0" * 64, None)))
     return path

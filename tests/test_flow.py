@@ -19,20 +19,27 @@ from ridkit.flow import (
     train_flow_wnll,
     value_and_gradients,
 )
-from ridkit.neural import MlpSpec, TrainingError, init_mlp, mlp_forward, with_bias_column
+from ridkit.neural import (
+    MlpParams,
+    MlpSpec,
+    TrainingError,
+    init_mlp,
+    mlp_forward,
+    with_bias_column,
+)
+
+
+def _random_subnets(spec, rng):
+    """A random s subnet, then a random t subnet, as one stack."""
+    s, t = init_mlp(spec, rng), init_mlp(spec, rng)
+    return MlpParams(spec, tuple(map(np.stack, zip(s.layers, t.layers))))
 
 
 def _randomized(model, seed):
     """Replaces the identity-initialized subnets with random ones."""
     rng = np.random.default_rng(seed)
-    blocks = tuple(
-        replace(
-            blk,
-            s_params=init_mlp(blk.s_params.spec, rng),
-            t_params=init_mlp(blk.t_params.spec, rng),
-        )
-        for blk in model.blocks
-    )
+    blocks = tuple(replace(blk, subnets=_random_subnets(blk.subnets.spec, rng))
+                   for blk in model.blocks)
     return replace(model, blocks=blocks)
 
 
@@ -57,11 +64,12 @@ def test_identity_init_block_is_identity():
     np.testing.assert_array_equal(_block_inverse(model, model.blocks[0], u, cond), u)
 
 
-def _with_final_bias(params, value):
-    """params with every output bias (the last row of the last layer) set to value."""
-    layers = [a.copy() for a in params.layers]
-    layers[-1][-1] = value
-    return params.with_arrays(layers)
+def _with_final_bias(blk, half, value):
+    """blk with every output bias (the last row of the last layer) of its s
+    (half 0) or t (half 1) subnet set to value."""
+    layers = [a.copy() for a in blk.subnets.layers]
+    layers[-1][half, -1] = value
+    return replace(blk, subnets=blk.subnets.with_arrays(layers))
 
 
 def test_constant_log2_scale_doubles_active_coordinate():
@@ -69,7 +77,7 @@ def test_constant_log2_scale_doubles_active_coordinate():
     model = build_flow(2, 1, n_blocks=1, hidden=(4,), clamp=2.0, seed=0)
     blk = model.blocks[0]
     raw_bias = math.tan(math.log(2.0) * math.pi / (2.0 * model.clamp))
-    blk = replace(blk, s_params=_with_final_bias(blk.s_params, raw_bias))
+    blk = _with_final_bias(blk, 0, raw_bias)
     u = np.array([[3.0, 5.0]])
     v, logdet = flow_forward(_one_block(model, blk), u, np.zeros((1, 1)))
     active = blk.active[0]
@@ -80,7 +88,7 @@ def test_constant_log2_scale_doubles_active_coordinate():
 def test_constant_shift_inverse_subtracts():
     model = build_flow(2, 1, n_blocks=1, hidden=(4,), seed=0)
     blk = model.blocks[0]
-    blk = replace(blk, t_params=_with_final_bias(blk.t_params, 1.0))
+    blk = _with_final_bias(blk, 1, 1.0)
     u = np.array([[0.25, -1.5]])
     cond = np.zeros((1, 1))
     v, _ = flow_forward(_one_block(model, blk), u, cond)
@@ -197,9 +205,16 @@ def test_value_and_gradients_match_finite_differences(d_x):
 
 
 def test_flow_arrays_are_each_blocks_s_then_t_arrays():
+    # one array per layer of each block, s stacked before t
     model = build_flow(3, 2, n_blocks=2, hidden=(4,), seed=0)
-    expect = [a for blk in model.blocks for a in blk.s_params.arrays() + blk.t_params.arrays()]
+    expect = [a for blk in model.blocks for a in blk.subnets.layers]
     assert all(a is b for a, b in zip(model.arrays(), expect, strict=True))
+    assert [a.shape for a in model.arrays()] == [(2, 4, 4), (2, 5, 2), (2, 5, 4), (2, 5, 1)]
+    rng = np.random.default_rng(0)
+    s, t = (init_mlp(model.blocks[0].subnets.spec, rng, zero_final=True) for _ in "st")
+    for a, sa, ta in zip(model.blocks[0].subnets.layers, s.layers, t.layers, strict=True):
+        np.testing.assert_array_equal(a[0], sa)
+        np.testing.assert_array_equal(a[1], ta)
     back = model.with_arrays([a + 1.0 for a in model.arrays()])
     assert back.perms == model.perms and back.x_scale is model.x_scale
     for a, b in zip(back.arrays(), model.arrays(), strict=True):
@@ -216,7 +231,7 @@ def test_clamp_bounds_every_log_scale():
     cond = 50.0 * rng.standard_normal((500, 1))
     for blk in model.blocks:
         h = with_bias_column(np.concatenate([u[:, list(blk.passive)], cond], axis=1))
-        s_raw = mlp_forward(blk.s_params, h)
+        s_raw = mlp_forward(blk.subnets, h)[0]
         s_eff = np.arctan(s_raw) * (clamp * 2.0 / math.pi)
         assert np.abs(s_eff).max() < clamp
 
@@ -234,7 +249,7 @@ def test_sampling_reproducible_and_scored_finite():
 
 def _untiled_forward(model, z, y):
     """flow_forward as it ran before row tiling: every block over the whole batch."""
-    dtype = model.blocks[0].s_params.layers[0].dtype
+    dtype = model.blocks[0].subnets.layers[0].dtype
     cond1 = with_bias_column((y - model.y_shift) / model.y_scale, dtype)
     u, logdet = z.astype(dtype), np.zeros((z.shape[0], 1))
     for blk, perm in zip(model.blocks, model.perms):
@@ -268,9 +283,9 @@ def test_tiled_forward_matches_untiled(n):
 def _assert_within_float32_rounding(x, x_ref, model):
     """x is x_ref up to float32 rounding: eps/2 for each multiply-add of
     every subnet layer the flow runs, each scaled by up to e^clamp by the
-    block it feeds, relative to the largest |x_ref|."""
-    roundings = sum(din for blk in model.blocks for net in (blk.s_params, blk.t_params)
-                    for din, _ in net.spec.layer_dims)
+    block it feeds, relative to the largest |x_ref|; each block runs an s and
+    a t subnet."""
+    roundings = 2 * sum(din for blk in model.blocks for din, _ in blk.subnets.spec.layer_dims)
     tol = roundings * np.finfo(np.float32).eps / 2 * math.exp(model.clamp)
     np.testing.assert_allclose(x, x_ref, rtol=0, atol=tol * np.abs(x_ref).max())
 
@@ -355,7 +370,7 @@ def test_wnll_none_weights_matches_all_ones_bitwise():
     m2, t2 = train_flow_wnll(model, x, y, np.ones(50), cfg)
     assert t1 == t2
     for b1, b2 in zip(m1.blocks, m2.blocks):
-        for w1, w2 in zip(b1.s_params.layers, b2.s_params.layers, strict=True):
+        for w1, w2 in zip(b1.subnets.layers, b2.subnets.layers, strict=True):
             np.testing.assert_array_equal(w1, w2)
 
 
@@ -518,23 +533,26 @@ def test_flow_from_jsonable_requires_its_input_hashes(key, value, match):
         flow_from_jsonable(doc)
 
 
-def _narrow_subnets(blk):
-    # one output for the block's two active coordinates
-    narrow = init_mlp(MlpSpec(len(blk.passive) + 1, 1, (4,)), np.random.default_rng(0))
-    return replace(blk, s_params=narrow, t_params=narrow)
+def _subnets(spec):
+    """An edit giving a block random subnets of the given spec."""
+    return lambda blk: replace(blk, subnets=_random_subnets(spec, np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("edit, match", [
-    (_narrow_subnets, "block 0: s subnet maps 3 -> 1 values, not 3 -> 2"),
-    (lambda blk: replace(blk, t_params=init_mlp(MlpSpec(2, 2, (4,)), np.random.default_rng(0))),
-     "block 0: t subnet maps 2 -> 2 values, not 3 -> 2"),
+    # one output for the block's two active coordinates
+    (_subnets(MlpSpec(3, 1, (4,))), r"block 0: subnets are a stack \(2,\) of 3 -> \[4\] -> 1 "
+     r"MLPs, not a stack \(2,\) of 3 -> \[4\] -> 2 MLPs"),
+    (_subnets(MlpSpec(2, 2, (4,))), r"block 0: subnets are a stack \(2,\) of 2 -> \[4\] -> 2 "
+     r"MLPs, not a stack \(2,\) of 3 -> \[4\] -> 2 MLPs"),
     (lambda blk: replace(blk, passive=(1,)), "not a set of coordinates with passive"),
     (lambda blk: replace(blk, active=(), passive=(0, 1, 2, 3)),
      "a coupling block must transform at least one coordinate"),
-    (lambda blk: replace(blk, t_params=init_mlp(MlpSpec(3, 2, (5,)), np.random.default_rng(0))),
-     r"block 0: t subnet has hidden widths \[5\], not the \[4\] of block 0's s subnet"),
-], ids=["narrow-subnets", "t-input-too-narrow", "passive-misses-a-coordinate", "empty-mask",
-        "hidden-widths-differ"])
+    (_subnets(MlpSpec(3, 2, (5,))), r"block 1: subnets are a stack \(2,\) of 3 -> \[4\] -> 2 "
+     r"MLPs, not a stack \(2,\) of 3 -> \[5\] -> 2 MLPs"),
+    (lambda blk: replace(blk, subnets=init_mlp(blk.subnets.spec, np.random.default_rng(0))),
+     r"block 0: subnets are a stack \(\) of 3 -> \[4\] -> 2 MLPs, not a stack \(2,\)"),
+], ids=["narrow-subnets", "input-too-narrow", "passive-misses-a-coordinate", "empty-mask",
+        "hidden-widths-differ", "subnets-not-stacked"])
 def test_flow_model_rejects_a_layout_its_passes_cannot_run(edit, match):
     model = build_flow(4, 1, n_blocks=2, hidden=(4,), seed=0)
     blocks = (edit(model.blocks[0]), *model.blocks[1:])

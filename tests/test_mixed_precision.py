@@ -47,13 +47,13 @@ def _case(kind, rng, n=64):
 
 def _tape_arrays(tape):
     """Every array a tape holds: the MLP's layer outputs, or everything each
-    flow block record keeps (its subnet input, both subnet tapes, raw
-    scale, shifted difference and inverse scale)."""
+    flow block record keeps (its subnet input, its stacked s and t subnet
+    tape, raw scale, shifted difference and inverse scale)."""
     out = []
     for entry in tape:
         if isinstance(entry, list):
-            h, s_tape, t_tape, *rest = entry
-            out += [h, *s_tape, *t_tape, *rest]
+            h, subnet_tape, *rest = entry
+            out += [h, *subnet_tape, *rest]
         else:
             out.append(entry)
     return out
@@ -69,7 +69,8 @@ def test_float32_parameters_keep_tape_adjoints_and_gradients_float32(kind, monke
 
     def recording_backward(params, x, tape, g, grads):
         d = backward(params, x, tape, g, grads)
-        g_x = d @ params.layers[0][:-1].T  # the input adjoint, as the flow forms it
+        # the input adjoint, as the flow forms it
+        g_x = d @ params.layers[0][..., :-1, :].swapaxes(-1, -2)
         adjoint_dtypes.extend([x.dtype, g.dtype, d.dtype, g_x.dtype])
         return d
 

@@ -5,6 +5,7 @@ from ridkit.backend import row_sumsq_diff
 from ridkit.neural import (
     _WEIGHT_DECAY,
     _adam_update,
+    _mlp_backward,
     FlatAdam,
     MlpParams,
     MlpSpec,
@@ -43,6 +44,11 @@ def test_forward_rejects_rows_without_the_constant_column():
 def test_params_reject_a_layer_without_its_bias_row():
     with pytest.raises(ValueError, match="layer shape"):
         MlpParams(MlpSpec(2, 1), (np.zeros((2, 1)),))
+
+
+def test_params_reject_layers_of_unequal_stacks():
+    with pytest.raises(ValueError, match=r"layer shape \(3, 5, 1\) is not \(2, 5, 1\)"):
+        MlpParams(MlpSpec(2, 1, (4,)), (np.zeros((2, 3, 4)), np.zeros((3, 5, 1))))
 
 
 def test_hidden_layer_bias_determines_output_at_zero():
@@ -351,3 +357,32 @@ def test_forward_computes_in_the_parameter_dtype(dtype):
     assert out.dtype == dtype
     np.testing.assert_allclose(out, mlp_forward(params, x), rtol=0,
                                atol=64 * np.finfo(dtype).eps)
+
+
+def _forward_and_backward(params, x, g):
+    """The output, the layer gradients and the input adjoint of one forward
+    and reverse pass, the adjoint formed as the flow forms it."""
+    tape = []
+    out = mlp_forward(params, x, tape)
+    grads = params.with_arrays([np.full_like(a, np.nan) for a in params.arrays()])
+    d = _mlp_backward(params, x, tape, g, grads)
+    return [out, *grads.arrays(), d @ params.layers[0][..., :-1, :].swapaxes(-1, -2)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 7, 1025])
+def test_stacked_mlps_match_their_halves_run_alone_bitwise(dtype, rows):
+    # a coupling block's s and t subnets run as one stack; each slice of
+    # every result must carry the bits of its MLP run on its own
+    rng = np.random.default_rng(rows)
+    spec = MlpSpec(5, 3, (64, 64))
+    halves = [_with_random_biases(init_mlp(spec, rng), rng) for _ in "st"]
+    halves = [h.with_arrays([a.astype(dtype) for a in h.arrays()]) for h in halves]
+    stacked = MlpParams(spec, tuple(map(np.stack, zip(*(h.layers for h in halves)))))
+    x = with_bias_column(rng.standard_normal((rows, 5)), dtype)
+    g = rng.standard_normal((2, rows, 3)).astype(dtype)
+    got = _forward_and_backward(stacked, x, g)
+    for i, half in enumerate(halves):
+        for a, ref in zip(got, _forward_and_backward(half, x, g[i]), strict=True):
+            assert a.dtype == ref.dtype == dtype
+            assert a[i].shape == ref.shape and a[i].tobytes() == ref.tobytes()
