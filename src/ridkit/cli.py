@@ -310,6 +310,8 @@ def cmd_eval(args) -> int:
     noise = _noise_spec(args)
     cfg = _eval_config(args, derive_seed(args.seed, "eval"))
     model = _read_model(args, "model", task)
+    # both models are read and checked before either is scored
+    base_model = None if args.baseline is None else _read_model(args, "baseline", task)
     targets = generate_dataset(task, noise, cfg.n_targets, derive_seed(args.seed, "targets")).y
     t0 = time.perf_counter()
     losses = resimulation_error(model, task, noise, targets, cfg)
@@ -329,8 +331,7 @@ def cmd_eval(args) -> int:
         "per_target_losses": losses.tolist(),
     }
     inputs = {"model_sha256": sha256_of(Path(args.model))}
-    if args.baseline is not None:
-        base_model = _read_model(args, "baseline", task)
+    if base_model is not None:
         base = resimulation_error(base_model, task, noise, targets, cfg)
         _check_finite(base, "baseline re-simulation loss")
         t, p = welch_t_test(losses, base)

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 from dataclasses import asdict, fields
@@ -154,6 +155,23 @@ def test_eval_with_baseline_adds_comparison(dataset_dir, tmp_path):
     assert rep["comparison"]["baseline_mse"] == float(base_losses.mean())
 
 
+def test_eval_checks_the_baseline_before_scoring_the_model(model_file, tmp_path, capsys,
+                                                           monkeypatch):
+    # a baseline of 3 design coordinates, where the radian task has 2
+    other = tmp_path / "other_task.json"
+    other.write_text(json.dumps(
+        flow_to_jsonable(build_flow(3, 1, n_blocks=2, hidden=(8,), seed=0), "0" * 64, None)))
+    calls = []
+    monkeypatch.setattr("ridkit.cli.resimulation_error", lambda *a: calls.append(a))
+    out = tmp_path / "o"
+    assert run("eval", "--model", model_file, "--baseline", other, "--task", "radian",
+               "--n-targets", "4", "--out", out) == 3
+    assert capsys.readouterr().err == (
+        f"data error: --baseline {other}: d_x=3, d_y=1 do not fit task radian\n")
+    assert calls == []
+    assert not (out / REPORT_FILE).exists()
+
+
 def test_model_vs_itself_gives_p_one(dataset_dir, tmp_path):
     m1 = tmp_path / "m1"
     assert run("train", "--dataset", dataset_dir, "--blocks", "2", "--hidden", "8",
@@ -235,7 +253,7 @@ def test_model_names_its_training_inputs_by_sha256(dataset_dir, tmp_path):
                "--out", tmp_path / "w") == 0
     assert run("train", *train, "--out", tmp_path / "u") == 0
     weighted, unweighted = (read_json(tmp_path / d / MODEL_FILE) for d in ("w", "u"))
-    assert weighted["format_version"] == unweighted["format_version"] == 3
+    assert weighted["format_version"] == unweighted["format_version"] == 4
     assert weighted["dataset_sha256"] == sha256_of(dataset_dir / DATASET_FILE)
     assert unweighted["dataset_sha256"] == weighted["dataset_sha256"]
     assert weighted["weights_sha256"] == sha256_of(dataset_dir / WEIGHTS_FILE)
@@ -491,12 +509,25 @@ def _model_without_blocks(tmp_path, model_file, data, out):
     return ("sample", "--model", bad, "--targets", data, "--out", out), f"--model {bad}: "
 
 
+def _layer_values(text):
+    """The entries a model.json layer string holds."""
+    return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+
+
+def _layer_text(values):
+    """A model.json layer string holding the given entries."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
 def _model_nan_weight(tmp_path, model_file, data, out):
     doc = read_json(model_file)
-    doc["subnets"][0]["s"][0][0] = float("nan")
+    values = _layer_values(doc["subnets"][0]["s"][0]).copy()
+    values[0] = float("nan")
+    doc["subnets"][0]["s"][0] = _layer_text(values)
     bad = tmp_path / "nan_weight.json"
     bad.write_text(json.dumps(doc))
-    return ("sample", "--model", bad, "--targets", data, "--out", out), f"--model {bad}: "
+    return (("sample", "--model", bad, "--targets", data, "--out", out),
+            f"--model {bad}: coupling-flow block 0 s layer 0 must be finite")
 
 
 def _model_zero_scale(tmp_path, model_file, data, out):
@@ -538,6 +569,19 @@ def _model_version_two(tmp_path, model_file, data, out):
     return ("sample", "--model", bad, "--targets", data, "--out", out), f"--model {bad}: "
 
 
+def _model_version_three(tmp_path, model_file, data, out):
+    # flow format 3 held each subnet layer as the flat list of its entries
+    doc = read_json(model_file)
+    for sub in doc["subnets"]:
+        for name in ("s", "t"):
+            sub[name] = [_layer_values(text).tolist() for text in sub[name]]
+    doc["format_version"] = 3
+    bad = tmp_path / "version_three.json"
+    bad.write_text(json.dumps(doc))
+    return (("sample", "--model", bad, "--targets", data, "--out", out),
+            f"--model {bad}: unsupported flow format_version 3")
+
+
 def _model_uppercase_hash(tmp_path, model_file, data, out):
     doc = read_json(model_file)
     doc["dataset_sha256"] = doc["dataset_sha256"].upper()
@@ -552,10 +596,11 @@ def _model_narrow_subnet(tmp_path, model_file, data, out):
     # which would broadcast into both: 9 entries where (8 + 1, 2) needs 18
     doc = flow_to_jsonable(build_flow(4, 1, n_blocks=2, hidden=(8,), seed=0), "0" * 64, None)
     for name in ("s", "t"):
-        doc["subnets"][0][name][-1] = [0.0] * 9
+        doc["subnets"][0][name][-1] = _layer_text([0.0] * 9)
     bad = tmp_path / "narrow_subnet.json"
     bad.write_text(json.dumps(doc))
-    return ("sample", "--model", bad, "--targets", data, "--out", out), f"--model {bad}: "
+    return (("sample", "--model", bad, "--targets", data, "--out", out),
+            f"--model {bad}: coupling-flow block 0 s layer 1 has 9 entries, not 18")
 
 
 def _weights_version_two(tmp_path, model_file, data, out):
@@ -593,7 +638,8 @@ def _model_extra_layer(tmp_path, model_file, data, out):
     layers.append(layers[-1])
     bad = tmp_path / "extra_layer.json"
     bad.write_text(json.dumps(doc))
-    return ("sample", "--model", bad, "--targets", data, "--out", out), f"--model {bad}: "
+    return (("sample", "--model", bad, "--targets", data, "--out", out),
+            f"--model {bad}: coupling-flow block 0 s subnet has 3 layers, not 2")
 
 
 @pytest.mark.parametrize("make_argv", [
@@ -602,13 +648,15 @@ def _model_extra_layer(tmp_path, model_file, data, out):
     _model_extra_subnet, _model_extra_layer, _weights_version_two, _model_narrow_subnet,
     _weights_not_a_list, _model_version_one, _model_version_two, _model_uppercase_hash,
     _targets_of_another_width, _dataset_version_seven, _baseline_for_another_task,
+    _model_version_three,
 ], ids=["sample-nan-target", "train-meta-without-task", "sample-non-model",
         "eval-non-model", "eval-baseline-missing-field", "sample-model-without-blocks",
         "sample-model-nan-weight", "eval-model-zero-scale", "sample-model-extra-subnet",
         "sample-model-extra-layer", "train-weights-version-two", "sample-model-narrow-subnet",
         "train-weights-not-a-list", "sample-model-version-one", "sample-model-version-two",
         "eval-model-uppercase-hash", "sample-targets-of-another-width",
-        "weights-dataset-version-seven", "eval-baseline-for-another-task"])
+        "weights-dataset-version-seven", "eval-baseline-for-another-task",
+        "sample-model-version-three"])
 def test_malformed_input_is_data_error(model_file, dataset_dir, tmp_path, capsys, make_argv):
     # the error names the file at fault, and a model file the flag that gave it
     out = tmp_path / "o"

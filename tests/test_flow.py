@@ -1,3 +1,4 @@
+import base64
 import math
 import tracemalloc
 from dataclasses import replace
@@ -5,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ridkit.fileio import write_json
 from ridkit.flow import (
     _TILE_ROWS,
     WnllConfig,
@@ -467,19 +469,71 @@ def test_flow_serialization_round_trip():
     )
 
 
+def _values(text):
+    """The entries a model.json layer string holds."""
+    return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+
+
+def _text(values):
+    """A model.json layer string holding the given entries."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
 def _string_weight(subnets):
-    subnets[0]["s"][0][0] = "0.5"
+    # the layer as format 3 held it: the flat list of its entries
+    subnets[0]["s"][0] = _values(subnets[0]["s"][0]).tolist()
     return subnets
 
 
 def _true_bias(subnets):
-    subnets[1]["t"][-1][-1] = True
+    subnets[1]["t"][-1] = True
     return subnets
 
 
 def _short_layer(subnets):
-    subnets[0]["t"][1].pop()
+    subnets[0]["t"][1] = _text(_values(subnets[0]["t"][1])[:-1])
     return subnets
+
+
+def _non_alphabet(subnets):
+    subnets[0]["s"][1] = "*" + subnets[0]["s"][1][1:]
+    return subnets
+
+
+def _ragged_bytes(subnets):
+    # 37 bytes: four entries and five bytes of a fifth
+    raw = base64.b64decode(subnets[1]["s"][1])
+    subnets[1]["s"][1] = base64.b64encode(raw[:-3]).decode("ascii")
+    return subnets
+
+
+def _inf_weight(subnets):
+    values = _values(subnets[1]["t"][0]).copy()
+    values[3] = -np.inf
+    subnets[1]["t"][0] = _text(values)
+    return subnets
+
+
+def test_layer_strings_round_trip_every_float64_bitwise(tmp_path):
+    model = _randomized(build_flow(3, 2, n_blocks=2, hidden=(8,), seed=3), seed=4)
+    # a signed zero, the least subnormal, the extremes near float64's largest
+    # value, and 0.1, which float32 cannot hold
+    special = [-0.0, 5e-324, 1.7e308, -1.7e308, 0.1]
+    assert float(np.float32(0.1)) != 0.1
+    arrays = [a.copy() for a in model.arrays()]
+    arrays[0].flat[:len(special)] = special
+    arrays[-1].flat[-len(special):] = special
+    model = model.with_arrays(arrays)
+    doc = flow_to_jsonable(model, "0" * 64, None)
+    back = flow_from_jsonable(doc)
+    for a, b in zip(model.arrays(), back.arrays(), strict=True):
+        assert (b.shape, b.dtype) == (a.shape, np.float64)
+        np.testing.assert_array_equal(b.view(np.uint64), a.view(np.uint64))
+    for name in ("a.json", "b.json"):
+        write_json(tmp_path / name, flow_to_jsonable(model, "0" * 64, None))
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    layers = [text for sub in doc["subnets"] for name in "st" for text in sub[name]]
+    assert layers and all(_text(_values(text)) == text for text in layers)
 
 
 @pytest.mark.parametrize("key, value, match", [
@@ -497,14 +551,17 @@ def _short_layer(subnets):
     ("clamp", "2.0", "clamp must hold JSON numbers only, not a str"),
     ("clamp", True, "clamp must hold JSON numbers only, not a bool"),
     ("x_scale", ["1", "1"], "x_scale must hold JSON numbers only, not a str"),
-    ("subnets", _string_weight, "block 0 s layer 0 must hold JSON numbers only, not a str"),
-    ("subnets", _true_bias, "block 1 t layer 1 must hold JSON numbers only, not a bool"),
+    ("subnets", _string_weight, "block 0 s layer 0 is not a base64 string, but a list"),
+    ("subnets", _true_bias, "block 1 t layer 1 is not a base64 string, but a bool"),
     ("hidden", [3.0], "hidden entry 3.0 is not an integer"),
     ("hidden", [True], "hidden entry True is not an integer"),
     ("hidden", [0], "hidden entry 0 is below 1"),
     ("hidden", "64", "hidden '64' is not a list"),
     ("y_scale", [1.0, 1.0], "y_scale has 2 entries, not 1"),
     ("subnets", _short_layer, "block 0 t layer 1 has 4 entries, not 5"),
+    ("subnets", _non_alphabet, "block 0 s layer 1 is not valid base64"),
+    ("subnets", _ragged_bytes, "block 1 s layer 1 has 37 bytes, not 8 x 5"),
+    ("subnets", _inf_weight, "block 1 t layer 0 must be finite"),
 ])
 def test_flow_from_jsonable_rejects_invalid_numbers_and_masks(key, value, match):
     doc = flow_to_jsonable(build_flow(2, 1, n_blocks=2, hidden=(4,), seed=0), "0" * 64, None)
